@@ -4,7 +4,7 @@ import numpy as np
 
 from hatd4.perms import (PermGroup, from_cycles, is_dihedral_8,
                          is_elementary_abelian, is_semiregular, is_solvable,
-                         normal_closure, point_stabiliser)
+                         normal_closure)
 
 s4 = PermGroup(4, [from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])])
 print("|S4| =", s4.order(), " solvable:", is_solvable(s4))
@@ -12,7 +12,7 @@ print("|S4| =", s4.order(), " solvable:", is_solvable(s4))
 a5 = PermGroup(5, [from_cycles(5, [(0, 1, 2, 3, 4)]), from_cycles(5, [(2, 3, 4)])])
 print("|A5| =", a5.order(), " solvable:", is_solvable(a5))
 
-stab = point_stabiliser(s4, 0)
+stab = s4.point_stabiliser(0)
 print("S4 point stabiliser order:", stab.order(), "(orbit-stabiliser: 4 *", stab.order(), "= 24)")
 
 klein = normal_closure(s4, [from_cycles(4, [(0, 1), (2, 3)])])

@@ -150,9 +150,6 @@ class _Partition:
     def copy(self):
         return _Partition(self.lab.copy(), self.pos.copy(), self.cstart.copy())
 
-    def is_discrete(self):
-        return bool(np.all(self.cstart == np.arange(len(self.cstart), dtype=DTYPE)))
-
     def colors(self):
         """Cell id (= start position) per vertex."""
         return self.cstart[self.pos]
@@ -449,10 +446,6 @@ def canonical(g, colors=None, arcs=None) -> CanonResult:
 
 def certificate_bytes(g, colors=None, arcs=None) -> bytes:
     return canonical(g, colors=colors, arcs=arcs).cert
-
-
-def vertex_aut_gens(g, colors=None, arcs=None):
-    return canonical(g, colors=colors, arcs=arcs).aut_gens
 
 
 def isomorphism(g1, g2):

@@ -11,17 +11,16 @@ class of graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from hatd4 import homology
 from hatd4.graphs import GraphError, write_graph
-from hatd4.perms import is_solvable, read_group_file
+from hatd4.perms import is_dihedral_8, is_solvable, read_group_file
 from hatd4.symmetry import aut_group, is_relevant_pair, transitivity_profile
 from hatd4.universal import (RelevantPair, coset_graph, dedupe_base_pairs,
                              dedupe_pairs, epimorphism_search)
-from hatd4.util import parallel_map, thread_budget
 
 
 def packaged_catalog_dir():
@@ -40,8 +39,6 @@ class CensusConfig:
     seed: int = 0
     primes: list | None = None
     dim_cap: int | None = None
-    out_dir: Path | str | None = None
-    threads: int = field(default_factory=thread_budget)
 
     def catalog_path(self):
         return Path(self.catalog_dir) if self.catalog_dir else packaged_catalog_dir()
@@ -77,8 +74,6 @@ def load_catalog(path):
     groups = []
     for f in sorted(path.glob("*.grp")):
         groups.append(read_group_file(f))
-    if not groups:
-        return []
     return groups
 
 
@@ -107,33 +102,26 @@ def base_pairs(cfg: CensusConfig):
 
 def expand_level(pairs, cfg: CensusConfig, level):
     """Step 3, one level: minimal admissible covers of every eligible pair."""
-    eligible = [p for p in pairs if p.graph.n <= cfg.max_order // 2]
-
-    def covers_of(pair):
+    out = []
+    for pair in pairs:
+        if pair.graph.n > cfg.max_order // 2:
+            continue
         lifted = homology.minimal_admissible_covers(
             pair.graph, pair.action, cfg.max_order,
             primes=cfg.primes, dim_override=cfg.dim_cap, seed=cfg.seed)
-        out = []
         for lp in lifted:
+            if lp.cover.n > cfg.max_order:
+                raise GraphError("cover exceeded the order budget")
+            if not is_relevant_pair(lp.cover, lp.action):
+                raise GraphError("lifted pair failed the relevance check")
+            if lp.cover.n <= pair.graph.n:
+                raise GraphError("cover order did not increase along the lineage")
             prov = {
                 "kind": "cover", "level": level, "p": lp.p, "d": lp.d,
                 "kernel_hash": lp.kernel_hash(), "parent": pair,
                 "lifted": lp,
             }
             out.append(RelevantPair(lp.cover, lp.action, prov))
-        return out
-
-    nested = parallel_map(covers_of, eligible, cfg.threads)
-    out = []
-    for pair, covers in zip(eligible, nested):
-        for cover in covers:
-            if cover.graph.n > cfg.max_order:
-                raise GraphError("cover exceeded the order budget")
-            if not is_relevant_pair(cover.graph, cover.action):
-                raise GraphError("lifted pair failed the relevance check")
-            if cover.graph.n <= pair.graph.n:
-                raise GraphError("cover order did not increase along the lineage")
-        out.extend(covers)
     return out
 
 
@@ -152,33 +140,27 @@ def run_census(cfg: CensusConfig) -> CensusResult:
         pairs.extend(lv)
     graphs = dedupe_pairs(pairs)
 
-    def record_data(item):
-        idx, pair = item
+    records = []
+    for idx, pair in enumerate(graphs):
         aut = aut_group(pair.graph)
         prof = transitivity_profile(pair.graph, aut)
         order = aut.group.order()
         if order % pair.graph.n:
             raise GraphError("automorphism order %d not divisible by order %d"
                              % (order, pair.graph.n))
-        return CensusRecord(ID=idx + 1, order=pair.graph.n,
-                            stab_order=order // pair.graph.n,
-                            arc_transitive=prof.dart_transitive)
-
-    records = parallel_map(record_data, enumerate(graphs), cfg.threads)
-    for rec, pair in zip(records, graphs):
+        rec = CensusRecord(ID=idx + 1, order=pair.graph.n,
+                           stab_order=order // pair.graph.n,
+                           arc_transitive=prof.dart_transitive)
         if not rec.arc_transitive:
-            aut = aut_group(pair.graph)
-            prof = transitivity_profile(pair.graph, aut)
             if prof.classification != "HalfArcTransitive":
                 raise GraphError("record %d is neither arc- nor half-arc-transitive"
                                  % rec.ID)
             if rec.stab_order == 8:
-                from hatd4.perms import is_dihedral_8
-
                 if not is_dihedral_8(aut.group.point_stabiliser(0)):
                     raise GraphError(
                         "record %d: half-arc-transitive with a non-dihedral "
                         "order-8 stabiliser" % rec.ID)
+        records.append(rec)
     summary = {
         "witness_classes": witness_classes,
         "base_pairs": len(p0),
@@ -250,7 +232,31 @@ class VerifyRow:
         return "%s %s%s" % (self.status.upper(), self.name, tail)
 
 
-def verify_tables(budget="small", catalog_dir=None, seed=0, threads=None):
+def _match_table1(pairs, table):
+    """One row per table entry, matching the computed (order, |Aut|, |G|)
+    triples of the pairs; also returns the triples no entry claimed."""
+    auts = {}
+    got = []
+    for pair in pairs:
+        cert = pair.certificate()
+        if cert not in auts:
+            auts[cert] = aut_group(pair.graph).group.order()
+        got.append((pair.graph.n, auts[cert], pair.group_order()))
+    got.sort()
+    rows = []
+    for ident, order, autord, soc, gord in table:
+        want = (order, autord, gord)
+        ok = want in got
+        if ok:
+            got.remove(want)
+        rows.append(VerifyRow(
+            "table1 row %d (order %d, |Aut| %d, |G| %d, soc %s)"
+            % (ident, order, autord, gord, soc),
+            "pass" if ok else "fail", want, "present" if ok else list(got)))
+    return rows, got
+
+
+def verify_tables(budget="small", catalog_dir=None, seed=0):
     """Compare computed values against the embedded tables within a budget.
 
     Budgets: ``small`` (base pair 1 only), ``table1`` (base pairs 1-4 at
@@ -259,11 +265,10 @@ def verify_tables(budget="small", catalog_dir=None, seed=0, threads=None):
     budget; several minutes).  Rows outside the budget are reported as
     skipped.
     """
-    threads = thread_budget() if threads is None else threads
     rows = []
     if budget == "small":
         cfg = CensusConfig(max_order=42, catalog_dir=catalog_dir, max_level=0,
-                           seed=seed, threads=threads)
+                           seed=seed)
         res = run_census(cfg)
         got = [(r.order, r.stab_order * r.order, r.arc_transitive) for r in res.records]
         ok = got == [(42, 672, True)]
@@ -273,55 +278,25 @@ def verify_tables(budget="small", catalog_dir=None, seed=0, threads=None):
             rows.append(VerifyRow("table1 row %d" % ident, "skip"))
         rows.append(VerifyRow("table2 level-1 counts", "skip"))
     elif budget == "table1":
-        cfg = CensusConfig(max_order=700, catalog_dir=catalog_dir, max_level=0,
-                           seed=seed, threads=threads)
-        res = run_census(cfg)
-        got_pairs = sorted((p.graph.n, aut_group(p.graph).group.order(),
-                            p.group_order()) for p in res.base_pairs)
-        for ident, order, autord, soc, gord in TABLE_BASE[:4]:
-            want = (order, autord, gord)
-            ok = want in got_pairs
-            if ok:
-                got_pairs.remove(want)
-            rows.append(VerifyRow(
-                "table1 row %d (order %d, |Aut| %d, |G| %d, soc %s)"
-                % (ident, order, autord, gord, soc),
-                "pass" if ok else "fail", want,
-                "present" if ok else got_pairs))
-        extra = len(got_pairs)
+        p0, _ = base_pairs(CensusConfig(max_order=700, catalog_dir=catalog_dir,
+                                        seed=seed))
+        rows, extra = _match_table1(p0, TABLE_BASE[:4])
         rows.append(VerifyRow("no extra base pairs at M=700",
-                              "pass" if extra == 0 else "fail", 0, extra))
+                              "pass" if not extra else "fail", 0, len(extra)))
         for ident, order, autord, soc, gord in TABLE_BASE[4:]:
             rows.append(VerifyRow("table1 row %d" % ident, "skip"))
         rows.append(VerifyRow("table2 level-1 counts", "skip"))
     elif budget == "table1-full":
         p0, _ = base_pairs(CensusConfig(max_order=10752, catalog_dir=catalog_dir,
-                                        seed=seed, threads=threads))
-        auts = {}
-        for pair in p0:
-            cert = pair.certificate()
-            if cert not in auts:
-                auts[cert] = aut_group(pair.graph).group.order()
-        got = sorted((p.graph.n, auts[p.certificate()], p.group_order()) for p in p0)
-        for ident, order, autord, soc, gord in TABLE_BASE:
-            want = (order, autord, gord)
-            ok = want in got
-            if ok:
-                got.remove(want)
-            rows.append(VerifyRow(
-                "table1 row %d (order %d, |Aut| %d, |G| %d, soc %s)"
-                % (ident, order, autord, gord, soc),
-                "pass" if ok else "fail", want, "present" if ok else got))
+                                        seed=seed))
+        rows, extra = _match_table1(p0, TABLE_BASE)
         rows.append(VerifyRow("exactly 16 base pairs at the full budget",
-                              "pass" if len(p0) == 16 and not got else "fail",
+                              "pass" if len(p0) == 16 and not extra else "fail",
                               16, len(p0)))
         rows.append(VerifyRow("table2 level-1 counts", "skip"))
     elif budget == "table2-l1":
-        cfg = CensusConfig(max_order=10752, catalog_dir=catalog_dir, max_level=0,
-                           seed=seed, threads=threads)
         p0, _ = base_pairs(CensusConfig(max_order=700,
-                                        catalog_dir=catalog_dir, seed=seed,
-                                        threads=threads))
+                                        catalog_dir=catalog_dir, seed=seed))
         pair42 = next(p for p in p0 if p.graph.n == 42)
         covers = homology.minimal_admissible_covers(
             pair42.graph, pair42.action, 10752, seed=seed)

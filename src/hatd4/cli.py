@@ -1,7 +1,6 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input error, 2 verification failure.
-Set HATC_THREADS to raise the worker cap for the parallel stages.
 """
 
 from __future__ import annotations
@@ -10,15 +9,12 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from hatd4 import census as census_mod
 from hatd4 import homology, symmetry
 from hatd4.covers import CoverError, check_lemma_nq, quotient
 from hatd4.graphs import GraphError, read_graph, structural_profile, write_graph
 from hatd4.perms import GroupError, read_group_file
 from hatd4.symmetry import GraphAction, aut_group, transitivity_profile
-from hatd4.util import thread_budget
 
 
 def _load_action(graph, group_path):
@@ -114,7 +110,7 @@ def cmd_episearch(args):
 def cmd_census(args):
     cfg = census_mod.CensusConfig(
         max_order=args.max_order, catalog_dir=args.catalog,
-        max_level=args.levels, seed=args.seed, threads=thread_budget())
+        max_level=args.levels, seed=args.seed)
     res = census_mod.run_census(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

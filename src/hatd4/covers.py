@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hatd4 import gfp
-from hatd4.graphs import DTYPE, Graph, GraphError
+from hatd4.canon import _orbit_labels
+from hatd4.graphs import DTYPE, Graph, GraphError, parse_ints
 from hatd4.perms import PermGroup
 from hatd4.symmetry import GraphAction
 
@@ -67,23 +68,9 @@ def compose(p2: Projection, p1: Projection) -> Projection:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_ids(degree, gens, count_hint=None):
+def _orbit_ids(degree, gens):
     """Orbit label per point (labels dense, ordered by minimal element)."""
-    orb = np.arange(degree, dtype=DTYPE)
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            m = np.minimum(orb, orb[g])
-            if not np.array_equal(m, orb):
-                orb = m
-                changed = True
-        while True:
-            m2 = orb[orb]
-            if np.array_equal(m2, orb):
-                break
-            orb = m2
-    reps, ids = np.unique(orb, return_inverse=True)
+    reps, ids = np.unique(_orbit_labels(degree, gens), return_inverse=True)
     return ids.astype(DTYPE), reps
 
 
@@ -253,6 +240,13 @@ def spanning_tree_mask(g: Graph):
     return mask
 
 
+def base_p_digits(p, d):
+    """(q x d table of the base-p digits of 0..q-1, place values), q = p^d,
+    little-endian: row k @ place values == k."""
+    powers = p ** np.arange(d, dtype=np.int64)
+    return (np.arange(p**d, dtype=np.int64)[:, None] // powers) % p, powers
+
+
 def derived_cover(zeta: VoltageAssignment):
     """Derived graph of a voltage assignment, with the forgetful projection.
 
@@ -268,13 +262,7 @@ def derived_cover(zeta: VoltageAssignment):
             "voltages span only a %d-dimensional subspace of GF(%d)^%d; cover disconnected"
             % (span, p, d)
         )
-    powers = p ** np.arange(d, dtype=np.int64) if d else np.zeros(0, dtype=np.int64)
-    vecs = np.zeros((q, d), dtype=np.int64)
-    for k in range(1, q):
-        rem = k
-        for i in range(d):
-            vecs[k, i] = rem % p
-            rem //= p
+    vecs, powers = base_p_digits(p, d)
     n2 = g.n * q
     m2 = g.m * q
     beg2 = np.empty(m2, dtype=DTYPE)
@@ -335,19 +323,21 @@ def read_voltages(path, base: Graph) -> VoltageAssignment:
             if p is None:
                 if parts[0] != "voltage" or len(parts) != 3:
                     raise CoverError("%s:%d: expected 'voltage <p> <d>'" % (path, lineno))
-                p, d = int(parts[1]), int(parts[2])
+                p, d = parse_ints(parts[1:], path, lineno, CoverError)
+                if p < 2 or d < 0:
+                    raise CoverError("%s:%d: bad prime or dimension" % (path, lineno))
                 volt = np.zeros((base.m, d), dtype=np.int64)
                 continue
             if len(parts) != d + 1:
                 raise CoverError("%s:%d: expected dart id and %d coordinates"
                                  % (path, lineno, d))
-            x = int(parts[0])
+            x, *coords = parse_ints(parts, path, lineno, CoverError)
             if not (0 <= x < base.m):
                 raise CoverError("%s:%d: dart %d out of range" % (path, lineno, x))
             if x > int(base.inv[x]):
                 raise CoverError("%s:%d: voltages belong on the smaller dart of an edge"
                                  % (path, lineno))
-            vec = np.array([int(c) for c in parts[1:]], dtype=np.int64) % p
+            vec = np.array(coords, dtype=np.int64) % p
             volt[x] = vec
             volt[base.inv[x]] = (-vec) % p
     if p is None:

@@ -3,8 +3,9 @@
 Matrices are numpy int64 arrays with entries reduced mod p.  Products route
 through float64 BLAS whenever the accumulated dot products fit exactly in a
 double (n*(p-1)^2 < 2**53, which holds for every size this package touches);
-GF(2) additionally gets a bit-packed uint64 row layout for the very large
-eliminations where a dense int64 matrix would be wasteful.
+GF(2) additionally gets a bit-packed uint64 row layout for the fixed-space
+eliminations behind degree-2 covers, where a dense int64 matrix would be
+wasteful.
 """
 
 from __future__ import annotations
@@ -32,18 +33,6 @@ def matmul(a, b, p):
         c = np.dot(a.astype(np.float64), b.astype(np.float64))
         return np.rint(c).astype(np.int64) % p
     return np.dot(a, b) % p
-
-
-def matpow(a, k, p):
-    n = a.shape[0]
-    out = identity(n, p)
-    base = normalize(a, p)
-    while k:
-        if k & 1:
-            out = matmul(out, base, p)
-        base = matmul(base, base, p)
-        k >>= 1
-    return out
 
 
 def inv_mod(x, p):
@@ -101,35 +90,6 @@ def nullspace(a, p):
     if len(basis):
         basis = rref(basis, p)[0]
     return basis
-
-
-def inverse(a, p):
-    n = a.shape[0]
-    aug = np.concatenate([normalize(a, p), identity(n, p)], axis=1)
-    r, pivots = rref(aug, p)
-    if pivots[: n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular mod %d" % p)
-    return r[:, n:]
-
-
-def solve_right(a, b, p):
-    """One solution x of a @ x = b (columns of b), or None if inconsistent."""
-    a = normalize(a, p)
-    b = normalize(b, p)
-    if b.ndim == 1:
-        b = b[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    m, n = a.shape
-    aug = np.concatenate([a, b], axis=1)
-    r, pivots = rref(aug, p)
-    if any(c >= n for c in pivots):
-        return None
-    x = np.zeros((n, b.shape[1]), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, n:]
-    return x[:, 0] if squeeze else x
 
 
 class EchelonBasis:
@@ -250,12 +210,6 @@ def gf2_nullspace_packed(w, ncols):
     if len(basis):
         basis = gf2_unpack(gf2_rref_packed(gf2_pack(basis), ncols)[0], ncols)
     return basis
-
-
-def gf2_matvec_packed(v, at_packed, n_out):
-    """v @ A over GF(2); v packed (1d words), at_packed = packed rows of A^T."""
-    acc = np.bitwise_count(v[None, :] & at_packed).sum(axis=1)
-    return (acc & 1).astype(np.int64)[:n_out]
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +410,6 @@ def factor_poly(f, p, rng=None):
                 factors.append((poly_monic(irr, p), mult))
     factors.sort(key=lambda fm: (poly_deg(fm[0]), tuple(int(c) for c in fm[0])))
     return factors
-
-
-def poly_roots(f, p, rng=None):
-    """Sorted roots in GF(p) of f (with multiplicity collapsed)."""
-    roots = []
-    for g, _ in factor_poly(f, p, rng):
-        if poly_deg(g) == 1:
-            roots.append((-int(g[0])) % p)
-    return sorted(set(roots))
 
 
 def poly_eval_matrix(f, a, p):

@@ -21,6 +21,16 @@ class GraphError(ValueError):
     pass
 
 
+def parse_ints(tokens, path, lineno, error=GraphError):
+    """The tokens of one input line as integers; a token that is not an
+    integer raises `error` naming path:line."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise error("%s:%d: expected integers, got %r"
+                    % (path, lineno, " ".join(tokens))) from None
+
+
 class Graph:
     __slots__ = ("n", "m", "beg", "inv", "_cache")
 
@@ -69,10 +79,6 @@ class Graph:
 
     def valences(self):
         return np.bincount(self.beg, minlength=self.n)
-
-    def neighbourhood(self, v):
-        """Darts with initial vertex v."""
-        return np.nonzero(self.beg == v)[0]
 
     def darts_by_vertex(self):
         """CSR-style (indptr, darts sorted by initial vertex)."""
@@ -143,11 +149,6 @@ class StructuralProfile:
 @dataclass(frozen=True)
 class GraphCertificate:
     data: bytes
-
-    def hex(self, length=16):
-        import hashlib
-
-        return hashlib.sha256(self.data).hexdigest()[:length]
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +320,15 @@ def read_graph(path) -> Graph:
             if mode is None:
                 if parts[0] == "graph" and len(parts) == 3:
                     mode = "graph"
-                    n, m = int(parts[1]), int(parts[2])
+                    n, m = parse_ints(parts[1:], path, lineno)
+                    if m < 0:
+                        raise GraphError("%s:%d: negative dart count" % (path, lineno))
                     beg = np.full(m, -1, dtype=DTYPE)
                     inv = np.full(m, -1, dtype=DTYPE)
                     seen = np.zeros(m, dtype=bool)
                 elif parts[0] == "simple" and len(parts) == 2:
                     mode = "simple"
-                    n = int(parts[1])
+                    n = parse_ints(parts[1:], path, lineno)[0]
                 else:
                     raise GraphError("%s:%d: expected 'graph <n> <m>' or 'simple <n>'"
                                      % (path, lineno))
@@ -333,11 +336,11 @@ def read_graph(path) -> Graph:
             if mode == "simple":
                 if len(parts) != 2:
                     raise GraphError("%s:%d: expected '<u> <v>'" % (path, lineno))
-                edges.append((int(parts[0]), int(parts[1])))
+                edges.append(parse_ints(parts, path, lineno))
                 continue
             if len(parts) != 3:
                 raise GraphError("%s:%d: expected '<dart> <beg> <inv>'" % (path, lineno))
-            x, b, y = int(parts[0]), int(parts[1]), int(parts[2])
+            x, b, y = parse_ints(parts, path, lineno)
             if not (0 <= x < m):
                 raise GraphError("%s:%d: dart id %d out of range" % (path, lineno, x))
             if seen[x]:

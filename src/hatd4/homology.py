@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from hatd4 import gfp, meataxe
-from hatd4.covers import (CoverError, VoltageAssignment, derived_cover,
-                          spanning_tree, spanning_tree_mask, translation_action)
+from hatd4.covers import (CoverError, VoltageAssignment, base_p_digits,
+                          derived_cover, spanning_tree, spanning_tree_mask,
+                          translation_action)
 from hatd4.graphs import DTYPE, Graph, GraphError
 from hatd4.perms import PermGroup
 from hatd4.symmetry import GraphAction, combine
@@ -144,39 +145,33 @@ def _dual_lines(mod: HomologyModule):
     """1-dimensional dual submodules via eigenvalue branching.
 
     A dual line satisfies w A^T = lam w per generator, equivalently
-    (A - lam) w^T = 0.  Over GF(2) the only eigenvalue is 1, so a single
-    (bit-packed) elimination of the stacked blocks finds the common fixed
-    space; over odd p the branch filters candidate eigenvalues by rank
+    (A - lam) w^T = 0.  The branch filters candidate eigenvalues by rank
     deficiency, stacking constraint blocks.  Every line of a leaf space
-    qualifies.
+    qualifies.  Covers over GF(2) with d = 1 take the bit-packed
+    `_gf2_fixed_lines` instead.
     """
     p = mod.p
     beta = mod.dim
     eye = np.eye(beta, dtype=np.int64)
-    if p == 2:
-        stacked = np.concatenate([(a + eye) % 2 for a in mod.action], axis=0)
-        basis = gfp.gf2_nullspace_packed(gfp.gf2_pack(stacked), beta)
-        leaves = [basis] if len(basis) else []
-    else:
-        # first generator at full size, the rest restricted to the survivors
-        a0 = mod.action[0]
-        leaves = []
-        for lam in range(1, p):
-            ns = gfp.nullspace((a0 - lam * eye) % p, p)
-            if len(ns):
-                leaves.append(ns)
-        for a in mod.action[1:]:
-            refined = []
-            for b in leaves:
-                # w = x b with A w^T = lam w^T: solve (A b^T - lam b^T) x^T = 0
-                abt = gfp.matmul(a, b.T % p, p)
-                for lam in range(1, p):
-                    x = gfp.nullspace((abt - lam * (b.T % p)) % p, p)
-                    if len(x):
-                        refined.append(gfp.matmul(x, b, p))
-            leaves = refined
-            if not leaves:
-                return []
+    # first generator at full size, the rest restricted to the survivors
+    a0 = mod.action[0]
+    leaves = []
+    for lam in range(1, p):
+        ns = gfp.nullspace((a0 - lam * eye) % p, p)
+        if len(ns):
+            leaves.append(ns)
+    for a in mod.action[1:]:
+        refined = []
+        for b in leaves:
+            # w = x b with A w^T = lam w^T: solve (A b^T - lam b^T) x^T = 0
+            abt = gfp.matmul(a, b.T % p, p)
+            for lam in range(1, p):
+                x = gfp.nullspace((abt - lam * (b.T % p)) % p, p)
+                if len(x):
+                    refined.append(gfp.matmul(x, b, p))
+        leaves = refined
+        if not leaves:
+            return []
     lines = {}
     for basis in leaves:
         k = len(basis)
@@ -311,13 +306,7 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
             qmats.append(qm)
     cover, proj = derived_cover(zeta)
     q = p**d
-    powers = p ** np.arange(d, dtype=np.int64)
-    vecs = np.zeros((q, d), dtype=np.int64)
-    for k in range(1, q):
-        rem = k
-        for i in range(d):
-            vecs[k, i] = rem % p
-            rem //= p
+    vecs, powers = base_p_digits(p, d)
     ends = g.end()
     tree_parent, tree_order = spanning_tree(g)
     lifted = []
@@ -362,10 +351,8 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
 
 
 # ---------------------------------------------------------------------------
-# bit-packed GF(2) path for very large homology dimensions
+# bit-packed GF(2) dual lines
 # ---------------------------------------------------------------------------
-
-_PACKED_DIM = 600
 
 
 def _packed_generator_matrix(g, dp, parent_dart, order, cotree, idx):
@@ -458,9 +445,8 @@ def minimal_admissible_covers(g: Graph, action: GraphAction, max_order: int,
     """All minimal admissible elementary abelian covers of the pair with
     cover order at most max_order, sorted by (p, d, dual basis)."""
     results = {}
-    beta = g.m // 2 - g.n + 1
     for p, dmax in cover_budget(g.n, max_order, primes, dim_override):
-        if p == 2 and dmax == 1 and beta > _PACKED_DIM:
+        if p == 2 and dmax == 1:
             lines, cotree = _gf2_fixed_lines(g, action)
             for r in lines:
                 zeta = _voltages_from_cotree(g, cotree, r, 2)

@@ -12,10 +12,11 @@ exact and very fast for the large-degree lifted groups.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 
 import numpy as np
+
+from hatd4.graphs import parse_ints
 
 DTYPE = np.int32
 
@@ -298,12 +299,11 @@ class PermGroup:
     """Finite permutation group on 0..degree-1 given by generators."""
 
     __slots__ = ("degree", "gens", "name", "_known_order", "_chains",
-                 "base_hint", "_lock")
+                 "base_hint")
 
     def __init__(self, degree, gens, name=None, known_order=None, base_hint=()):
         self.degree = int(degree)
         self.base_hint = tuple(int(b) for b in base_hint)
-        self._lock = threading.Lock()
         cleaned = []
         seen = set()
         for g in gens:
@@ -327,16 +327,13 @@ class PermGroup:
         key = self.base_hint if base_hint is None else tuple(base_hint)
         ch = self._chains.get(key)
         if ch is None:
-            with self._lock:  # lazy build must not race under HATC_THREADS > 1
-                ch = self._chains.get(key)
-                if ch is None:
-                    try:
-                        ch = StabChain(self.degree, self.gens, base_hint=key,
-                                       known_order=self._known_order)
-                    except ChainOrderMismatch:
-                        ch = StabChain(self.degree, self.gens, base_hint=key)
-                    self._chains[key] = ch
-                    self._known_order = ch.order()
+            try:
+                ch = StabChain(self.degree, self.gens, base_hint=key,
+                               known_order=self._known_order)
+            except ChainOrderMismatch:
+                ch = StabChain(self.degree, self.gens, base_hint=key)
+            self._chains[key] = ch
+            self._known_order = ch.order()
         return ch
 
     def order(self):
@@ -418,31 +415,6 @@ class PermGroup:
         if len(rows) != self.order():
             raise GroupError("element enumeration disagrees with chain order")
         return np.stack(rows), index
-
-
-# ---------------------------------------------------------------------------
-# operation-style wrappers
-# ---------------------------------------------------------------------------
-
-
-def group_order(g: PermGroup) -> int:
-    return g.order()
-
-
-def orbit(g: PermGroup, point: int) -> set:
-    return g.orbit(point)
-
-
-def orbits(g: PermGroup):
-    return g.orbits()
-
-
-def point_stabiliser(g: PermGroup, point: int) -> PermGroup:
-    return g.point_stabiliser(point)
-
-
-def is_member(g: PermGroup, p) -> bool:
-    return g.contains(p)
 
 
 def is_semiregular(n: PermGroup, points) -> bool:
@@ -570,13 +542,13 @@ def read_group_file(path) -> PermGroup:
             if head == "group":
                 name = rest.strip()
             elif head == "degree":
-                degree = int(rest)
+                degree = parse_ints([rest], path, lineno, GroupError)[0]
             elif head == "order":
-                order = int(rest)
+                order = parse_ints([rest], path, lineno, GroupError)[0]
             elif head == "gen":
                 if degree is None:
                     raise GroupError("%s:%d: gen before degree" % (path, lineno))
-                images = np.array(rest.split(), dtype=DTYPE)
+                images = parse_ints(rest.split(), path, lineno, GroupError)
                 if len(images) != degree:
                     raise GroupError("%s:%d: expected %d images" % (path, lineno, degree))
                 gens.append(check_perm(images, degree))

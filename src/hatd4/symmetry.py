@@ -51,9 +51,6 @@ class GraphAction:
         """(vertex part, dart part) of a combined permutation."""
         return self._split_static(self.graph, perm)
 
-    def vertex_gens(self):
-        return [g[: self.graph.n] for g in self.group.gens]
-
     def dart_gens(self):
         n = self.graph.n
         return [g[n:] - n for g in self.group.gens]

@@ -275,16 +275,6 @@ class RelevantPair:
 
         return certificate(self.graph).data
 
-    def digraph_certificate(self):
-        """Orientation-insensitive canonical key of (graph, dart orbits)."""
-        from hatd4 import canon
-        from hatd4.symmetry import extract_digraph
-
-        dig = extract_digraph(self.graph, self.action)
-        c1 = canon.certificate_bytes(self.graph, arcs=dig.arcs)
-        c2 = canon.certificate_bytes(self.graph, arcs=~dig.arcs)
-        return min(c1, c2)
-
 
 def dedupe_pairs(pairs):
     """One pair per graph certificate, ordered by (order, certificate)."""

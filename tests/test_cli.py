@@ -86,11 +86,25 @@ def test_census_cli_and_verify(tmp_path, capsys):
     assert "PASS" in out and "SKIP" in out
 
 
-def test_input_error_exit_code(tmp_path, capsys):
-    missing = tmp_path / "nope.graph"
-    assert main(["classify", str(missing)]) == 1
+def _check_input_error(path, capsys, command, where):
+    assert main([command, str(path)]) == 1
     err = capsys.readouterr().err
-    assert "error:" in err
+    assert err.startswith("error: ")
+    assert "%s%s" % (path, where) in err
+
+
+def test_input_error_exit_code(tmp_path, capsys):
+    _check_input_error(tmp_path / "nope.graph", capsys, "classify", "")
+
+
+@pytest.mark.parametrize("command, text, where", [
+    ("classify", "graph x 3\n", ":1:"),
+    ("episearch", "group bad\ndegree 3\ngen 0 1 x 3\n", ":3:"),
+], ids=["graph-header", "group-gen"])
+def test_malformed_input_exit_code(tmp_path, capsys, command, text, where):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    _check_input_error(path, capsys, command, where)
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -1,11 +1,13 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
 from hatd4 import canon
 from hatd4.covers import (CoverError, LemmaNQReport, Projection,
-                          VoltageAssignment, check_lemma_nq, compose,
+                          VoltageAssignment, base_p_digits, check_lemma_nq,
+                          compose,
                           derived_cover, identity_projection, is_covering,
                           quotient, quotient_group_action, read_voltages,
                           spanning_tree_mask, translation_action,
@@ -198,6 +200,19 @@ def test_compose_covers():
         compose(p2, p1)  # wrong order: targets do not match
 
 
+@pytest.mark.parametrize("p, d", [(2, 0), (2, 3), (3, 2), (5, 1), (7, 2)])
+def test_base_p_digits_match_digit_loop(p, d):
+    vecs, powers = base_p_digits(p, d)
+    want = np.zeros((p**d, d), dtype=np.int64)
+    for k in range(p**d):
+        rem = k
+        for i in range(d):
+            want[k, i] = rem % p
+            rem //= p
+    assert np.array_equal(vecs, want)
+    assert np.array_equal(vecs @ powers, np.arange(p**d))
+
+
 def test_voltage_file_roundtrip(tmp_path):
     g = cycle(5)
     mask = spanning_tree_mask(g)
@@ -212,6 +227,18 @@ def test_voltage_file_roundtrip(tmp_path):
     back = read_voltages(path, g)
     assert back.p == 3 and back.d == 2
     assert np.array_equal(back.volt, zeta.volt)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("voltage 3 x\n", 1),
+    ("voltage 3 1\n0 y\n", 2),
+    ("voltage 3 -1\n", 1),
+])
+def test_voltage_file_reports_bad_lines(tmp_path, text, line):
+    path = tmp_path / "bad.volt"
+    path.write_text(text)
+    with pytest.raises(CoverError, match=re.escape("%s:%d:" % (path, line))):
+        read_voltages(path, cycle(5))
 
 
 def test_projection_validation():

@@ -171,3 +171,16 @@ def test_graph_io_reports_line_numbers(tmp_path):
     path.write_text("graph 1 2\n0 0 1\nnot a dart line\n")
     with pytest.raises(GraphError, match="bad3.graph:3"):
         read_graph(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("graph 1 -2\n", 1),
+    ("graph 1 2\n0 0 x\n", 2),
+    ("simple three\n", 1),
+    ("simple 3\n0 1.5\n", 2),
+])
+def test_graph_io_rejects_bad_numbers(tmp_path, text, line):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    with pytest.raises(GraphError, match="bad.graph:%d:" % line):
+        read_graph(path)

@@ -240,3 +240,26 @@ def test_two_level_lineage_composes_to_base(base_pair_42):
     assert comp.target.n == graph.n
     assert is_covering(comp)
     assert second.cover.n == graph.n * (first.p ** first.d) * (second.p ** second.d)
+
+
+def test_covers_independent_of_seed(base_pair_42):
+    """dmax >= 2 runs the randomised MeatAxe; the enumeration is complete,
+    so the seed must not change the kernels."""
+    graph, action = base_pair_42
+    hashes = [[lp.kernel_hash() for lp in
+               minimal_admissible_covers(graph, action, 1500, seed=seed)]
+              for seed in range(4)]
+    assert hashes[0]
+    assert all(h == hashes[0] for h in hashes[1:])
+
+
+def test_packed_gf2_lines_match_dense_annihilators(base_pair_42):
+    """At max order 84 only p=2, d=1 fits, which takes the bit-packed route;
+    its dual bases are the annihilators of the maximal invariant subspaces
+    that the dense module finds."""
+    graph, action = base_pair_42
+    lifted = minimal_admissible_covers(graph, action, 84)
+    assert lifted and all((lp.p, lp.d) == (2, 1) for lp in lifted)
+    kernels = maximal_invariant_submodules(homology_rep(graph, action, 2), 1)
+    dense = sorted(gfp.nullspace(k, 2).tobytes() for k in kernels)
+    assert sorted(lp.dual_basis.tobytes() for lp in lifted) == dense
