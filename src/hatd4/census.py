@@ -295,7 +295,7 @@ def verify_tables(budget="small", catalog_dir=None, seed=0):
                               16, len(p0)))
         rows.append(VerifyRow("table2 level-1 counts", "skip"))
     elif budget == "table2-l1":
-        p0, _ = base_pairs(CensusConfig(max_order=700,
+        p0, _ = base_pairs(CensusConfig(max_order=42,
                                         catalog_dir=catalog_dir, seed=seed))
         pair42 = next(p for p in p0 if p.graph.n == 42)
         covers = homology.minimal_admissible_covers(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DTYPE = np.int32
+MAX_ID = int(np.iinfo(DTYPE).max)  # largest vertex or dart id
 
 
 class GraphError(ValueError):
@@ -308,8 +309,7 @@ def read_graph(path) -> Graph:
     """Read the dart-table format (or the `simple` edge-list variant)."""
     mode = None
     n = m = None
-    beg = inv = None
-    seen = None
+    darts = {}  # dart -> (beg, inv); arrays are built once every line is read
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -321,17 +321,15 @@ def read_graph(path) -> Graph:
                 if parts[0] == "graph" and len(parts) == 3:
                     mode = "graph"
                     n, m = parse_ints(parts[1:], path, lineno)
-                    if m < 0:
-                        raise GraphError("%s:%d: negative dart count" % (path, lineno))
-                    beg = np.full(m, -1, dtype=DTYPE)
-                    inv = np.full(m, -1, dtype=DTYPE)
-                    seen = np.zeros(m, dtype=bool)
                 elif parts[0] == "simple" and len(parts) == 2:
                     mode = "simple"
                     n = parse_ints(parts[1:], path, lineno)[0]
                 else:
                     raise GraphError("%s:%d: expected 'graph <n> <m>' or 'simple <n>'"
                                      % (path, lineno))
+                if not (1 <= n <= MAX_ID and 0 <= (m or 0) <= MAX_ID):
+                    raise GraphError("%s:%d: need 1..%d vertices and 0..%d darts"
+                                     % (path, lineno, MAX_ID, MAX_ID))
                 continue
             if mode == "simple":
                 if len(parts) != 2:
@@ -343,22 +341,22 @@ def read_graph(path) -> Graph:
             x, b, y = parse_ints(parts, path, lineno)
             if not (0 <= x < m):
                 raise GraphError("%s:%d: dart id %d out of range" % (path, lineno, x))
-            if seen[x]:
+            if x in darts:
                 raise GraphError("%s:%d: duplicate dart %d" % (path, lineno, x))
             if not (0 <= b < n):
                 raise GraphError("%s:%d: beg %d out of range" % (path, lineno, b))
             if not (0 <= y < m):
                 raise GraphError("%s:%d: inv %d out of range" % (path, lineno, y))
-            seen[x] = True
-            beg[x] = b
-            inv[x] = y
+            darts[x] = (b, y)
     if mode is None:
         raise GraphError("%s: empty graph file" % path)
     if mode == "simple":
         return from_simple_edges(n, edges)
-    missing = np.nonzero(~seen)[0]
-    if missing.size:
-        raise GraphError("%s: dart %d has no line" % (path, int(missing[0])))
+    if len(darts) != m:
+        missing = next(x for x in range(m) if x not in darts)
+        raise GraphError("%s: dart %d has no line" % (path, missing))
+    beg = np.array([darts[x][0] for x in range(m)], dtype=DTYPE)
+    inv = np.array([darts[x][1] for x in range(m)], dtype=DTYPE)
     bad = np.nonzero(inv[inv] != np.arange(m, dtype=DTYPE))[0]
     if bad.size:
         raise GraphError("%s: inv not involution at dart %d" % (path, int(bad[0])))

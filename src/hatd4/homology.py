@@ -12,6 +12,7 @@ and the acting group lifts vertex potentials along the tree.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from hatd4.covers import (CoverError, VoltageAssignment, base_p_digits,
                           derived_cover, spanning_tree, spanning_tree_mask,
                           translation_action)
 from hatd4.graphs import DTYPE, Graph, GraphError
-from hatd4.perms import PermGroup
+from hatd4.perms import PermGroup, perm_order
 from hatd4.symmetry import GraphAction, combine
 
 
@@ -35,6 +36,7 @@ class HomologyModule:
     tree_parent: np.ndarray
     tree_order: np.ndarray
     source: GraphAction
+    orders: list | None = None  # permutation order of each generator; A^k = I
 
     def is_invariant(self, basis):
         b = np.atleast_2d(basis)
@@ -106,21 +108,23 @@ def _integer_rep(g: Graph, action: GraphAction):
     for perm in action.group.gens:
         dp = perm[g.n :] - g.n
         mats.append(_generator_matrix_int(g, dp, parent_dart, order, cotree, idx, sgn))
+    orders = [perm_order(perm) for perm in action.group.gens]
     if not mats:
         mats = [np.eye(len(cotree), dtype=np.int64)]
-    out = (parent_dart, order, cotree, idx, sgn, mats)
+        orders = [1]
+    out = (parent_dart, order, cotree, idx, sgn, mats, orders)
     g._cache[key] = out
     return out
 
 
 def homology_rep(g: Graph, action: GraphAction, p: int) -> HomologyModule:
     """Action of the generators on H1(graph; GF(p)) in the cycle basis."""
-    parent_dart, order, cotree, idx, sgn, mats = _integer_rep(g, action)
+    parent_dart, order, cotree, idx, sgn, mats, orders = _integer_rep(g, action)
     return HomologyModule(
         base=g, p=p, dim=len(cotree),
         action=[m % p for m in mats],
         cotree=cotree, tree_parent=parent_dart, tree_order=order,
-        source=action,
+        source=action, orders=orders,
     )
 
 
@@ -145,28 +149,27 @@ def _dual_lines(mod: HomologyModule):
     """1-dimensional dual submodules via eigenvalue branching.
 
     A dual line satisfies w A^T = lam w per generator, equivalently
-    (A - lam) w^T = 0.  The branch filters candidate eigenvalues by rank
-    deficiency, stacking constraint blocks.  Every line of a leaf space
-    qualifies.  Covers over GF(2) with d = 1 take the bit-packed
-    `_gf2_fixed_lines` instead.
+    (A - lam) w^T = 0.  Generators are taken in turn, each restricted to
+    the eigenspaces its predecessors left; every line of a leaf space
+    qualifies.  A generator of order k has A^k = I, so its eigenvalues in
+    GF(p)* satisfy lam^k = 1, i.e. lam^gcd(k, p-1) = 1, and only those lam
+    are tried, in increasing order.  A module that records no generator
+    orders takes k = p - 1, which admits every lam.  Covers over GF(2)
+    with d = 1 take the bit-packed `_gf2_fixed_lines` instead.
     """
     p = mod.p
     beta = mod.dim
-    eye = np.eye(beta, dtype=np.int64)
-    # first generator at full size, the rest restricted to the survivors
-    a0 = mod.action[0]
-    leaves = []
-    for lam in range(1, p):
-        ns = gfp.nullspace((a0 - lam * eye) % p, p)
-        if len(ns):
-            leaves.append(ns)
-    for a in mod.action[1:]:
+    orders = getattr(mod, "orders", None) or [p - 1] * len(mod.action)
+    leaves = [np.eye(beta, dtype=np.int64)]
+    for a, k in zip(mod.action, orders):
+        lams = _eigenvalue_candidates(p, k)
         refined = []
         for b in leaves:
             # w = x b with A w^T = lam w^T: solve (A b^T - lam b^T) x^T = 0
-            abt = gfp.matmul(a, b.T % p, p)
-            for lam in range(1, p):
-                x = gfp.nullspace((abt - lam * (b.T % p)) % p, p)
+            bt = b.T % p
+            abt = gfp.matmul(a, bt, p)
+            for lam in lams:
+                x = gfp.nullspace((abt - lam * bt) % p, p)
                 if len(x):
                     refined.append(gfp.matmul(x, b, p))
         leaves = refined
@@ -184,6 +187,12 @@ def _dual_lines(mod: HomologyModule):
             if piv:
                 lines[rr.tobytes()] = rr
     return sorted(lines.values(), key=lambda b: b.tobytes())
+
+
+def _eigenvalue_candidates(p, k):
+    """The lam in GF(p)*, ascending, with lam^k = 1."""
+    e = math.gcd(k, p - 1)
+    return [lam for lam in range(1, p) if pow(lam, e, p) == 1]
 
 
 def maximal_invariant_submodules(mod: HomologyModule, dmax: int, seed=0):

@@ -16,7 +16,7 @@ from collections import deque
 
 import numpy as np
 
-from hatd4.graphs import parse_ints
+from hatd4.graphs import MAX_ID, parse_ints
 
 DTYPE = np.int32
 
@@ -543,6 +543,8 @@ def read_group_file(path) -> PermGroup:
                 name = rest.strip()
             elif head == "degree":
                 degree = parse_ints([rest], path, lineno, GroupError)[0]
+                if not 1 <= degree <= MAX_ID:
+                    raise GroupError("%s:%d: degree %d out of range" % (path, lineno, degree))
             elif head == "order":
                 order = parse_ints([rest], path, lineno, GroupError)[0]
             elif head == "gen":
@@ -551,7 +553,10 @@ def read_group_file(path) -> PermGroup:
                 images = parse_ints(rest.split(), path, lineno, GroupError)
                 if len(images) != degree:
                     raise GroupError("%s:%d: expected %d images" % (path, lineno, degree))
-                gens.append(check_perm(images, degree))
+                if sorted(images) != list(range(degree)):
+                    raise GroupError("%s:%d: not a permutation of 0..%d"
+                                     % (path, lineno, degree - 1))
+                gens.append(np.array(images, dtype=DTYPE))
             else:
                 raise GroupError("%s:%d: unknown directive %r" % (path, lineno, head))
     if degree is None:

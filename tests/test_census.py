@@ -146,6 +146,13 @@ def test_verify_table1_budget():
     assert len(skips) == 13  # rows 5-16 plus the level-1 table
 
 
+def test_verify_table2_level1_budget():
+    rows = CE.verify_tables(budget="table2-l1")
+    passes = [r for r in rows if r.status == "pass"]
+    assert len(passes) == 1 and passes[0].got == 56
+    assert not any(r.status == "fail" for r in rows)
+
+
 def test_record_csv_fields():
     # an AT=false record renders with a lowercase boolean, e.g. the order-27
     # half-arc-transitive graph with stabiliser order 2

@@ -107,6 +107,20 @@ def test_malformed_input_exit_code(tmp_path, capsys, command, text, where):
     _check_input_error(path, capsys, command, where)
 
 
+@pytest.mark.parametrize("command, text, where", [
+    ("classify", "graph 1 99999999999999999999\n", ":1:"),
+    ("classify", "graph 0 0\n", ":1:"),
+    ("classify", "simple 99999999999999999999\n", ":1:"),
+    ("episearch", "group bad\ndegree 2\ngen 0 99999999999\n", ":3:"),
+    ("episearch", "group bad\ndegree -1\n", ":2:"),
+], ids=["graph-header-count", "graph-header-zero", "simple-header-count",
+        "group-gen-image", "group-degree"])
+def test_out_of_range_input_exit_code(tmp_path, capsys, command, text, where):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    _check_input_error(path, capsys, command, where)
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from hatd4 import census as census_mod
 

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hatd4 import canon, gfp, meataxe
 from hatd4.covers import CoverError, check_lemma_nq, quotient
 from hatd4.graphs import certificate, from_simple_edges
-from hatd4.homology import (cover_budget, cover_from_kernel,
-                            dual_minimal_submodules, homology_rep, lift_group,
+from hatd4.homology import (_dual_lines, _eigenvalue_candidates, cover_budget,
+                            cover_from_kernel, dual_minimal_submodules,
+                            homology_rep, lift_group,
                             maximal_invariant_submodules,
                             minimal_admissible_covers, voltages_from_dual)
 from hatd4.perms import PermGroup, is_dihedral_8
@@ -21,6 +24,12 @@ def rotation_action(g, vmap):
 @pytest.fixture(scope="module")
 def triangle():
     return from_simple_edges(3, [(0, 1), (1, 2), (0, 2)])
+
+
+@pytest.fixture(scope="module")
+def cube():
+    return from_simple_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6),
+                                 (6, 7), (4, 7), (0, 4), (1, 5), (2, 6), (3, 7)])
 
 
 def test_dimension_formula(base_pair_42, triangle):
@@ -202,10 +211,8 @@ def test_empty_when_no_room(base_pair_42):
     assert minimal_admissible_covers(graph, action, graph.n) == []
 
 
-def test_relator_words_on_small_module():
+def test_relator_words_on_small_module(cube):
     """200 sampled words: the homology matrix of a word equals the product."""
-    cube = from_simple_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6),
-                                 (6, 7), (4, 7), (0, 4), (1, 5), (2, 6), (3, 7)])
     act = aut_group(cube)
     p = 5
     mod = homology_rep(cube, act, p)
@@ -263,3 +270,39 @@ def test_packed_gf2_lines_match_dense_annihilators(base_pair_42):
     kernels = maximal_invariant_submodules(homology_rep(graph, action, 2), 1)
     dense = sorted(gfp.nullspace(k, 2).tobytes() for k in kernels)
     assert sorted(lp.dual_basis.tobytes() for lp in lifted) == dense
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 43, 251])
+def test_eigenvalue_candidates_are_roots_of_unity(p):
+    """The gcd form picks exactly the lam with lam^k = 1; k = p - 1, the
+    fallback for a module without orders, admits all of GF(p)*."""
+    for k in range(1, 2 * p):
+        want = [lam for lam in range(1, p) if pow(lam, k, p) == 1]
+        assert _eigenvalue_candidates(p, k) == want
+    assert _eigenvalue_candidates(p, p - 1) == list(range(1, p))
+
+
+@pytest.mark.parametrize("p", [3, 13, 17, 43, 97, 251])
+def test_eigenvalue_screen_keeps_every_line(base_pair_42, p):
+    """Trying only the lam with lam^k = 1 per generator finds the same dual
+    lines as trying all of GF(p)*, the sweep of a module without orders."""
+    graph, action = base_pair_42
+    mod = homology_rep(graph, action, p)
+    got = _dual_lines(mod)
+    want = _dual_lines(dataclasses.replace(mod, orders=None))
+    assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_generator_orders_annihilate_action(base_pair_42, cube, p):
+    """The screen's premise: A^k = I for each generator matrix A, with k its
+    recorded permutation order."""
+    for graph, action in (base_pair_42, (cube, aut_group(cube))):
+        mod = homology_rep(graph, action, p)
+        assert len(mod.orders) == len(mod.action)
+        eye = np.eye(mod.dim, dtype=np.int64)
+        for a, k in zip(mod.action, mod.orders):
+            power = eye
+            for _ in range(k):
+                power = gfp.matmul(power, a, p)
+            assert np.array_equal(power, eye)
