@@ -5,7 +5,9 @@ through float64 BLAS whenever the accumulated dot products fit exactly in a
 double (n*(p-1)^2 < 2**53, which holds for every size this package touches);
 GF(2) additionally gets a bit-packed uint64 row layout for the fixed-space
 eliminations behind degree-2 covers, where a dense int64 matrix would be
-wasteful.
+wasteful.  `EchelonBasis` grows a row space a block of rows at a time (one
+product to reduce the block, one elimination of the residual), which is how
+the MeatAxe spins and the Krylov sequences feed it.
 """
 
 from __future__ import annotations
@@ -45,29 +47,43 @@ def rref(a, p):
 
     Returns (R, pivots) where R has unit pivots with zeros above and below,
     and pivots is the list of pivot column indices (len = rank).
+
+    Entries are reduced mod p lazily: the searched column and the pivot row
+    are reduced on each step, while every other entry drifts by less than
+    (p-1)^2 per pivot.  Only when rank * (p-1)^2 could leave int64 is the
+    whole update reduced on every step.
     """
-    r = normalize(a, p).copy()
-    m, n = r.shape
+    r = normalize(a, p)
+    m = r.shape[0]
+    eager = min(r.shape) * (p - 1) ** 2 >= 2**62
     pivots = []
     row = 0
-    for col in range(n):
+    # row operations keep an all-zero column zero, so only the others can pivot
+    for col in np.flatnonzero(np.any(r, axis=0)).tolist():
         if row == m:
             break
-        sub = r[row:, col]
-        nz = np.nonzero(sub)[0]
+        coeff = r[:, col] % p
+        nz = np.flatnonzero(coeff[row:])
         if nz.size == 0:
+            if not np.any(r[row:, col:] % p):
+                break  # the rows left are zero: no later column can pivot
             continue
         piv = row + int(nz[0])
         if piv != row:
             r[[row, piv]] = r[[piv, row]]
-        r[row] = (r[row] * inv_mod(r[row, col], p)) % p
-        other = np.nonzero(r[:, col])[0]
-        other = other[other != row]
-        if other.size:
-            r[other] = (r[other] - np.outer(r[other, col], r[row])) % p
+            coeff[[row, piv]] = coeff[[piv, row]]
+        # the pivot row is zero mod p left of col
+        lead = r[row, col:] % p
+        if coeff[row] != 1:
+            lead = (lead * inv_mod(coeff[row], p)) % p
+        r[row, col:] = lead
+        coeff[row] = 0
+        r[:, col:] -= coeff[:, None] * lead
+        if eager:
+            r[:, col:] %= p
         pivots.append(col)
         row += 1
-    return r[: len(pivots)], pivots
+    return r[: len(pivots)] % p, pivots
 
 
 def rank(a, p):
@@ -79,12 +95,11 @@ def nullspace(a, p):
     a = np.atleast_2d(normalize(a, p))
     n = a.shape[1]
     r, pivots = rref(a, p)
-    free = [c for c in range(n) if c not in pivots]
+    pivset = set(pivots)
+    free = [c for c in range(n) if c not in pivset]
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for j, c in enumerate(pivots):
-            basis[i, c] = (-r[j, f]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-r[:, free]).T % p
     # canonicalise: the free-variable basis spans the kernel but need not be
     # in reduced echelon form itself
     if len(basis):
@@ -93,56 +108,66 @@ def nullspace(a, p):
 
 
 class EchelonBasis:
-    """Incrementally maintained row space in reduced echelon form.
+    """Row space in reduced echelon form, grown a block of rows at a time.
 
-    Supports residual reduction and insertion; used by the spinning and
-    Krylov loops where one vector arrives at a time.
+    Rows live in a preallocated ncols x ncols array in the order they arrived,
+    with a pivot map beside them; `matrix()` returns them sorted by pivot.
+    `extend` reduces a whole block against the basis and eliminates the
+    residual in one step, which is how the spinning and Krylov loops feed it.
     """
 
     def __init__(self, ncols, p):
         self.p = p
         self.ncols = ncols
-        self.rows = np.zeros((0, ncols), dtype=np.int64)
-        self.pivots = []
+        self.dim = 0
+        self._rows = np.zeros((ncols, ncols), dtype=np.int64)
+        self._pivots = np.zeros(ncols, dtype=np.int64)
 
     def __len__(self):
-        return len(self.pivots)
-
-    @property
-    def dim(self):
-        return len(self.pivots)
+        return self.dim
 
     def reduce(self, v):
         """Residual of v after eliminating against the basis."""
         v = normalize(v, self.p).copy()
-        if self.pivots:
-            coeff = v[self.pivots]
+        if self.dim:
+            coeff = v[self._pivots[: self.dim]]
             if np.any(coeff):
-                v = (v - coeff @ self.rows) % self.p
+                v = (v - coeff @ self._rows[: self.dim]) % self.p
         return v
+
+    def extend(self, block):
+        """Insert the rows of block; returns the new basis rows (rref, pivots
+        increasing), which span block modulo the old basis."""
+        p, d = self.p, self.dim
+        b = np.atleast_2d(normalize(block, p))
+        if d:
+            old = self._rows[:d]
+            b = (b - matmul(b[:, self._pivots[:d]], old, p)) % p
+        b = b[np.any(b, axis=1)]
+        if not len(b):
+            return b
+        r, pivots = rref(b, p)
+        if d:
+            coeff = old[:, pivots]
+            if np.any(coeff):
+                old[:] = (old - matmul(coeff, r, p)) % p
+        k = len(pivots)
+        self._rows[d : d + k] = r
+        self._pivots[d : d + k] = pivots
+        self.dim = d + k
+        return r
 
     def insert(self, v):
         """Insert v; returns the new pivot column or None if dependent."""
-        r = self.reduce(v)
-        nz = np.nonzero(r)[0]
-        if nz.size == 0:
-            return None
-        col = int(nz[0])
-        r = (r * inv_mod(r[col], self.p)) % self.p
-        if self.pivots:
-            coeff = self.rows[:, col].copy()
-            if np.any(coeff):
-                self.rows = (self.rows - np.outer(coeff, r)) % self.p
-        at = int(np.searchsorted(np.asarray(self.pivots), col))
-        self.rows = np.insert(self.rows, at, r, axis=0)
-        self.pivots.insert(at, col)
-        return col
+        new = self.extend(v)
+        return int(np.flatnonzero(new[0])[0]) if len(new) else None
 
     def contains(self, v):
         return not np.any(self.reduce(v))
 
     def matrix(self):
-        return self.rows.copy()
+        order = np.argsort(self._pivots[: self.dim], kind="stable")
+        return self._rows[order]
 
 
 # ---------------------------------------------------------------------------
@@ -434,41 +459,39 @@ def minimal_polynomial(a, p):
     a = normalize(a, p)
     seen = EchelonBasis(n, p)
     m = np.ones(1, dtype=np.int64)
+    # rows: [reduced iterate | coordinates in the iterate sequence]; a
+    # sequence meets a dependency after at most n independent iterates
+    work = np.zeros((n + 1, 2 * n + 1), dtype=np.int64)
     for start in range(n):
         e = np.zeros(n, dtype=np.int64)
         e[start] = 1
         if seen.contains(e):
             continue
-        # rows: [reduced iterate | coordinates in the iterate sequence]
-        work = np.zeros((0, n + n + 1), dtype=np.int64)
+        work[:] = 0
         piv = []
         v = e
-        t = 0
-        while True:
-            row = np.zeros(n + n + 1, dtype=np.int64)
+        for t in range(n + 1):
+            row = work[t]
             row[:n] = v
             row[n + t] = 1
-            if piv:
+            if t:
                 coeff = row[piv]
                 if np.any(coeff):
-                    row = (row - coeff @ work) % p
+                    row[:] = (row - coeff @ work[:t]) % p
             nz = np.nonzero(row[:n])[0]
             if nz.size == 0:
-                rel = row[n : n + t + 1]
-                m = _poly_lcm(m, rel, p)
+                m = _poly_lcm(m, row[n : n + t + 1].copy(), p)
                 break
             col = int(nz[0])
-            row = (row * inv_mod(row[col], p)) % p
-            if piv:
-                cc = work[:, col].copy()
+            row[:] = (row * inv_mod(row[col], p)) % p
+            if t:
+                cc = work[:t, col]
                 if np.any(cc):
-                    work = (work - np.outer(cc, row)) % p
-            work = np.vstack([work, row])
+                    work[:t] -= np.outer(cc, row)
+                    work[:t] %= p
             piv.append(col)
             v = (v @ a) % p
-            t += 1
-        for r in work:
-            seen.insert(r[:n])
+        seen.extend(work[:t, :n])
         if seen.dim == n:
             break
     return poly_monic(m, p)

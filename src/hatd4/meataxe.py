@@ -4,8 +4,11 @@ A module is given by a list of square generator matrices acting on row
 vectors (v -> v @ M).  Irreducibility testing follows the Norton criterion:
 nullspaces of algebra elements whose minimal polynomial has a factor of
 nullity equal to its degree certify irreducibility through one spin on each
-side; otherwise nullspace vectors are spun for cheap splits.  All random
-choices come from a seeded generator, so runs are reproducible.
+side; otherwise nullspace vectors are spun for cheap splits.  A spin runs
+breadth-first over blocks: each round applies every generator to the whole
+frontier in one product and inserts the images into the echelon basis in
+one elimination.  All random choices come from a seeded generator, so runs
+are reproducible.
 """
 
 from __future__ import annotations
@@ -23,22 +26,29 @@ def module_dim(gens):
     return gens[0].shape[0] if gens else 0
 
 
-def spin(vectors, gens, p):
-    """Echelonised basis of the smallest invariant subspace containing vectors."""
+def _stack_generators(gens, p):
+    """The generators side by side (n x n*g), so one product applies them all."""
+    return np.concatenate(gens, axis=1) % p
+
+
+def spin(vectors, gens, p, stacked=None):
+    """Echelonised basis of the smallest invariant subspace containing vectors.
+
+    Breadth-first over blocks: each round multiplies the whole frontier by
+    every generator at once (`stacked` is `_stack_generators(gens, p)`, built
+    here if not given) and inserts the images as one block; the new basis
+    rows are the next frontier.
+    """
     if not gens:
         raise MeatAxeError("spin needs at least one generator")
     n = gens[0].shape[0]
+    if stacked is None:
+        stacked = _stack_generators(gens, p)
     basis = gfp.EchelonBasis(n, p)
-    queue = []
-    for v in vectors:
-        if basis.insert(v) is not None:
-            queue.append(np.asarray(v, dtype=np.int64) % p)
-    while queue and basis.dim < n:
-        v = queue.pop()
-        for m in gens:
-            w = gfp.matmul(v[None, :], m, p)[0]
-            if basis.insert(w) is not None:
-                queue.append(w)
+    frontier = basis.extend(vectors)
+    while len(frontier) and basis.dim < n:
+        images = gfp.matmul(frontier, stacked, p).reshape(-1, n)
+        frontier = basis.extend(images)
     return basis
 
 
@@ -69,6 +79,7 @@ def is_irreducible(gens, p, rng=None, max_tries=200):
     if rng is None:
         rng = np.random.default_rng(0)
     gens_t = [m.T.copy() for m in gens]
+    stacked, stacked_t = _stack_generators(gens, p), _stack_generators(gens_t, p)
     for attempt in range(max_tries):
         theta = _algebra_element(gens, p, rng, attempt)
         minpoly = gfp.minimal_polynomial(theta, p)
@@ -82,14 +93,14 @@ def is_irreducible(gens, p, rng=None, max_tries=200):
                 continue
             certified = len(null) == gfp.poly_deg(f)
             for v in null:
-                w = spin([v], gens, p)
+                w = spin([v], gens, p, stacked)
                 if w.dim < n:
                     return False, w.matrix()
                 if certified:
                     break
             if certified:
                 null_t = gfp.nullspace(ftheta, p)
-                wt = spin([null_t[0]], gens_t, p)
+                wt = spin([null_t[0]], gens_t, p, stacked_t)
                 if wt.dim < n:
                     ann = gfp.nullspace(wt.matrix(), p)
                     return False, ann
@@ -116,7 +127,8 @@ def quotient_action(basis, gens, p):
     b = np.atleast_2d(basis)
     n = b.shape[1]
     r, pivots = gfp.rref(b, p)
-    free = [c for c in range(n) if c not in pivots]
+    pivset = set(pivots)
+    free = [c for c in range(n) if c not in pivset]
     out = []
     for m in gens:
         y = m[free, :] % p
@@ -148,6 +160,9 @@ def chop(gens, p, seed=0):
 
 def hom_space(sgens, tgens, p):
     """Basis of {F : S_i F = F T_i for all i}; F maps rows of S-module into T."""
+    if len(sgens) != len(tgens):
+        raise MeatAxeError("hom_space needs the same number of generators on both "
+                           "sides (%d and %d)" % (len(sgens), len(tgens)))
     e = module_dim(sgens)
     n = module_dim(tgens)
     blocks = []

@@ -1,0 +1,222 @@
+"""GF(p) linear algebra and spinning against independent references.
+
+Row reduction and nullspaces are compared with sympy's DomainMatrix over
+GF(p), minimal polynomials are checked with sympy's factorisation mod p,
+and block spinning is compared with a one-vector-at-a-time spin written
+here and, at the smallest sizes, with the exhaustive invariant-subspace
+oracle.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import GF, Poly, factor_list, symbols
+from sympy.polys.matrices import DomainMatrix
+
+from hatd4 import gfp, meataxe
+
+PRIMES = (2, 3, 5, 7)
+
+
+def matrices(max_rows=7, max_cols=7, square=False):
+    """(p, matrix) pairs; entries lean towards zero so that zero columns,
+    zero rows and dependent rows turn up often."""
+
+    @st.composite
+    def build(draw):
+        p = draw(st.sampled_from(PRIMES))
+        m = draw(st.integers(1, max_rows))
+        n = m if square else draw(st.integers(1, max_cols))
+        entry = st.one_of(st.just(0), st.integers(0, p - 1))
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+        return p, np.array(rows, dtype=np.int64)
+
+    return build()
+
+
+def sympy_rref(a, p):
+    """(R, pivots) from sympy over GF(p), zero rows dropped, entries in 0..p-1."""
+    k = GF(p)
+    m = DomainMatrix([[k(int(x)) for x in row] for row in a], a.shape, k)
+    r, pivots = m.rref()
+    rows = [[int(x) % p for x in row] for row in r.to_list()[: len(pivots)]]
+    return np.array(rows, dtype=np.int64).reshape(len(pivots), a.shape[1]), list(pivots)
+
+
+def reference_spin(vectors, gens, p):
+    """Smallest invariant subspace containing vectors, one vector at a time:
+    each independent vector is kept and its images queued."""
+    n = gens[0].shape[0]
+    basis = np.zeros((0, n), dtype=np.int64)
+    queue = [np.asarray(v, dtype=np.int64) % p for v in vectors]
+    while queue:
+        v = queue.pop(0)
+        grown = np.vstack([basis, v[None, :]])
+        if len(sympy_rref(grown, p)[1]) == len(basis):
+            continue
+        basis = grown
+        queue.extend((v @ m) % p for m in gens)
+    return sympy_rref(basis, p)[0]
+
+
+def poly_at(coeffs, a, p):
+    """sum_i coeffs[i] a^i mod p, by Horner in plain integer arithmetic."""
+    n = a.shape[0]
+    out = np.zeros((n, n), dtype=np.int64)
+    for c in reversed([int(c) for c in coeffs]):
+        out = (out @ a + c * np.eye(n, dtype=np.int64)) % p
+    return out
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_sympy(case):
+    p, a = case
+    r, pivots = gfp.rref(a, p)
+    want_r, want_pivots = sympy_rref(a, p)
+    assert pivots == want_pivots
+    assert np.array_equal(r, want_r)
+
+
+def test_rref_large_prime_matches_sympy():
+    """A prime whose square leaves the lazy-reduction range of int64."""
+    p = 2**31 - 1
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, p, size=(10, 12))
+    a[3] = (2 * a[0] + 5 * a[1]) % p
+    r, pivots = gfp.rref(a, p)
+    want_r, want_pivots = sympy_rref(a, p)
+    assert pivots == want_pivots
+    assert np.array_equal(r, want_r)
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_nullspace_matches_sympy(case):
+    p, a = case
+    got = gfp.nullspace(a, p)
+    k = GF(p)
+    null = DomainMatrix([[k(int(x)) for x in row] for row in a], a.shape, k).nullspace()
+    rows = np.array([[int(x) % p for x in row] for row in null.to_list()], dtype=np.int64)
+    want = sympy_rref(rows, p)[0] if len(rows) else np.zeros((0, a.shape[1]), np.int64)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    if len(got):
+        assert not np.any(gfp.matmul(a, got.T, p))
+
+
+@st.composite
+def block_sequences(draw):
+    """(p, n, blocks): random blocks mixed with all-zero blocks and blocks of
+    combinations of rows already given."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 7))
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("random", "zero", "dependent")))
+        k = draw(st.integers(1, 4))
+        if kind == "zero" or (kind == "dependent" and not blocks):
+            block = np.zeros((k, n), dtype=np.int64)
+        elif kind == "dependent":
+            old = np.vstack(blocks)
+            coeff = np.array(draw(st.lists(st.lists(st.integers(0, p - 1), min_size=len(old),
+                                                    max_size=len(old)), min_size=k, max_size=k)))
+            block = (coeff @ old) % p
+        else:
+            block = np.array(draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                                           min_size=k, max_size=k)), dtype=np.int64)
+        blocks.append(block)
+    return p, n, blocks
+
+
+@given(block_sequences())
+@settings(max_examples=150, deadline=None)
+def test_block_insert_equals_rref_of_stacked_rows(case):
+    p, n, blocks = case
+    basis = gfp.EchelonBasis(n, p)
+    for i, block in enumerate(blocks):
+        before = basis.dim
+        new = basis.extend(block)
+        stacked = np.vstack(blocks[: i + 1])
+        want, want_pivots = sympy_rref(stacked, p)
+        assert basis.dim == len(want_pivots) == before + len(new)
+        assert np.array_equal(basis.matrix(), want)
+        # the new rows are reduced and span the block modulo the old basis
+        if len(new):
+            assert np.array_equal(new, sympy_rref(new, p)[0])
+        for row in block:
+            assert basis.contains(row)
+
+
+def test_insert_reports_new_pivot():
+    basis = gfp.EchelonBasis(3, 5)
+    assert basis.insert([0, 2, 1]) == 1
+    assert basis.insert([0, 4, 2]) is None
+    assert basis.insert([3, 0, 0]) == 0
+    assert np.array_equal(basis.matrix(), [[1, 0, 0], [0, 1, 3]])
+
+
+@st.composite
+def modules(draw, max_dim=5):
+    """(p, gens, vectors) for a random module of dimension <= max_dim."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, max_dim))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    gens = [np.array(g, dtype=np.int64) for g in draw(st.lists(square, min_size=1, max_size=3))]
+    vecs = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                         min_size=1, max_size=2))
+    return p, gens, [np.array(v, dtype=np.int64) for v in vecs]
+
+
+@given(modules())
+@settings(max_examples=150, deadline=None)
+def test_block_spin_matches_vector_spin(case):
+    p, gens, vectors = case
+    got = meataxe.spin(vectors, gens, p).matrix()
+    assert np.array_equal(got, reference_spin(vectors, gens, p))
+
+
+@given(modules(max_dim=4).filter(lambda c: c[0] ** c[1][0].shape[0] <= 81))
+@settings(max_examples=30, deadline=None)
+def test_block_spin_matches_oracle(case):
+    p, gens, vectors = case
+    got = meataxe.spin(vectors, gens, p).matrix()
+    span = np.array(vectors)
+    containing = [b for b in meataxe.invariant_subspaces_oracle(gens, p)
+                  if gfp.rank(np.vstack([b, span]), p) == len(b)]
+    assert np.array_equal(got, min(containing, key=len))
+
+
+@given(matrices(max_rows=6, square=True))
+@settings(max_examples=100, deadline=None)
+def test_minimal_polynomial_annihilates_and_is_minimal(case):
+    p, a = case
+    m = gfp.minimal_polynomial(a, p)
+    assert int(m[-1]) == 1
+    assert not np.any(poly_at(m, a, p))
+    x = symbols("x")
+    poly = Poly([int(c) for c in reversed(m)], x, modulus=p)
+    with warnings.catch_warnings():
+        # sympy sorts factors by comparing modular integers, which it deprecates
+        warnings.simplefilter("ignore", DeprecationWarning)
+        factors = factor_list(poly)[1]
+    assert sum(f.degree() * k for f, k in factors) == len(m) - 1
+    for f, _ in factors:
+        q, rem = poly.div(f)
+        assert rem.is_zero
+        coeffs = [int(c) % p for c in reversed(q.all_coeffs())]
+        assert np.any(poly_at(coeffs, a, p))
+
+
+def test_hom_space_rejects_unequal_generator_counts():
+    p = 3
+    one = [np.eye(2, dtype=np.int64)]
+    two = [np.eye(2, dtype=np.int64), np.array([[0, 1], [1, 0]])]
+    with pytest.raises(meataxe.MeatAxeError):
+        meataxe.hom_space(one, two, p)
+    with pytest.raises(meataxe.MeatAxeError):
+        meataxe.hom_space(two, one, p)
