@@ -18,6 +18,8 @@ from collections import deque
 
 import numpy as np
 
+from hatd4.perms import inverse
+
 DTYPE = np.int32
 
 
@@ -143,9 +145,7 @@ class _Partition:
         vals = np.asarray(ranks)[lab]
         for i in range(1, n):
             cstart[i] = i if vals[i] != vals[i - 1] else cstart[i - 1]
-        pos = np.empty(n, dtype=DTYPE)
-        pos[lab] = np.arange(n, dtype=DTYPE)
-        return cls(lab, pos, cstart)
+        return cls(lab, inverse(lab), cstart)
 
     def copy(self):
         return _Partition(self.lab.copy(), self.pos.copy(), self.cstart.copy())
@@ -280,7 +280,7 @@ def _leaf_bytes(part: _Partition, view: _View):
 
 
 class _Frame:
-    __slots__ = ("part", "state", "cands", "idx", "explored", "on_spine", "_inv")
+    __slots__ = ("part", "state", "cands", "idx", "explored", "on_spine")
 
     def __init__(self, part, state):
         self.part = part
@@ -289,7 +289,6 @@ class _Frame:
         self.idx = 0
         self.explored = []
         self.on_spine = False
-        self._inv = b""
 
 
 class CanonResult:
@@ -366,7 +365,7 @@ def search(view: _View) -> CanonResult:
                     for f in frames:
                         f.state = "eq"
                 elif fr.state == "eq" and lb == best_leaf:
-                    sigma = best_lab_inverse(best_lab)[fr.part.pos]
+                    sigma = inverse(best_lab)[fr.part.pos]
                     if not np.array_equal(sigma, np.arange(n, dtype=DTYPE)):
                         gens.append(sigma.astype(DTYPE))
                     div = 0
@@ -407,9 +406,7 @@ def search(view: _View) -> CanonResult:
                     continue
                 if inv_bytes > ref:
                     state = "gt"
-        nf = _Frame(child, state)
-        nf._inv = inv_bytes
-        frames.append(nf)
+        frames.append(_Frame(child, state))
         prefix.append(v)
         # best_path bookkeeping: grow provisional path when strictly better
         if state == "gt":
@@ -420,12 +417,6 @@ def search(view: _View) -> CanonResult:
         # (when state == eq the stored invariant already matches)
 
     return CanonResult(best_leaf, best_lab, gens, leaves)
-
-
-def best_lab_inverse(lab_pos):
-    inv = np.empty(len(lab_pos), dtype=DTYPE)
-    inv[lab_pos] = np.arange(len(lab_pos), dtype=DTYPE)
-    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +451,7 @@ def isomorphism(g1, g2):
     c2 = canonical(g2)
     if c1.cert != c2.cert:
         return None
-    lab2_inv = best_lab_inverse(c2.labeling)
-    vmap = lab2_inv[c1.labeling]
+    vmap = inverse(c2.labeling)[c1.labeling]
     dmap = extend_vertex_map_to_darts(g1, g2, vmap)
     if dmap is None:
         raise AssertionError("equal certificates but dart extension failed")

@@ -6,6 +6,9 @@ semiregular on vertices (the equivalence the test suite exercises).
 Regular covers over GF(p)^d are built from voltage assignments with
 inverse-dart antisymmetry; cover vertices and darts are indexed
 lexicographically by (base index, vector in little-endian base-p order).
+`fibre_index` is the one place that encoding is computed: the derived
+cover, the translations and the lifted automorphisms all map fibres
+through it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from hatd4 import gfp
 from hatd4.canon import _orbit_labels
 from hatd4.graphs import DTYPE, Graph, GraphError, parse_ints
-from hatd4.perms import PermGroup
+from hatd4.perms import PermGroup, inverse, is_semiregular
 from hatd4.symmetry import GraphAction
 
 
@@ -121,17 +124,7 @@ def check_lemma_nq(g: Graph, action: GraphAction) -> LemmaNQReport:
     equivalence is what the randomized suite asserts)."""
     if not g.is_connected():
         raise CoverError("quotient predicates require a connected graph")
-    order = action.group.order()
-    semiregular = True
-    seen = set()
-    for v in range(g.n):
-        if v in seen:
-            continue
-        orb = action.group.orbit(v)
-        seen |= orb
-        if len(orb) != order:
-            semiregular = False
-            break
+    semiregular = is_semiregular(action.group, range(g.n))
     quot, proj = quotient(g, action)
     val_ok = bool(np.all(g.valences() == quot.valences()[proj.vertex_map]))
     covering = is_covering(proj)
@@ -153,8 +146,7 @@ def quotient_group_action(big: GraphAction, normal: GraphAction, proj: Projectio
         if not big.group.contains(ngen):
             raise CoverError("N is not contained in G")
     for ggen in big.group.gens:
-        ginv = np.empty_like(ggen)
-        ginv[ggen] = np.arange(len(ggen), dtype=ggen.dtype)
+        ginv = inverse(ggen)
         for ngen in normal.group.gens:
             conj = ggen[ngen[ginv]]
             if not normal.group.contains(conj):
@@ -247,10 +239,28 @@ def base_p_digits(p, d):
     return (np.arange(p**d, dtype=np.int64)[:, None] // powers) % p, powers
 
 
+def fibre_index(ids, shifts, p, d, qmat=None):
+    """Cover indices of the fibres over ids, mapped by a -> a Q + shifts[i].
+
+    Row i, column k of the (len(ids), p^d) result, flattened row-major, is
+    ids[i] * p^d + enc((a_k Q + shifts[i]) mod p), where a_k is the k-th
+    vector of GF(p)^d in little-endian base-p order and Q is qmat (the
+    identity if None).  shifts broadcasts to (len(ids), d).
+    """
+    vecs, powers = base_p_digits(p, d)
+    if qmat is not None:
+        vecs = vecs @ qmat % p
+    ids = np.asarray(ids, dtype=np.int64)
+    shifts = np.broadcast_to(shifts, (len(ids), d))
+    enc = (vecs[None, :, :] + shifts[:, None, :]) % p @ powers
+    return (ids[:, None] * p**d + enc).reshape(-1).astype(DTYPE)
+
+
 def derived_cover(zeta: VoltageAssignment):
     """Derived graph of a voltage assignment, with the forgetful projection.
 
-    Cover vertex (v, a) gets index v*p^d + enc(a), little-endian digits.
+    Cover vertex (v, a) gets index v*p^d + enc(a), little-endian digits;
+    dart (x, a) starts at (beg x, a) and its inverse is (inv x, a + zeta(x)).
     """
     g = zeta.base
     p, d = zeta.p, zeta.d
@@ -262,22 +272,10 @@ def derived_cover(zeta: VoltageAssignment):
             "voltages span only a %d-dimensional subspace of GF(%d)^%d; cover disconnected"
             % (span, p, d)
         )
-    vecs, powers = base_p_digits(p, d)
     n2 = g.n * q
     m2 = g.m * q
-    beg2 = np.empty(m2, dtype=DTYPE)
-    inv2 = np.empty(m2, dtype=DTYPE)
-    base_idx = np.arange(q, dtype=np.int64)
-    for x in range(g.m):
-        rows = x * q + base_idx
-        beg2[rows] = int(g.beg[x]) * q + base_idx
-        vx = zeta.volt[x]
-        if np.any(vx):
-            shifted = (vecs + vx) % p
-            target = shifted @ powers
-        else:
-            target = base_idx
-        inv2[rows] = int(g.inv[x]) * q + target
+    beg2 = fibre_index(g.beg, 0, p, d)
+    inv2 = fibre_index(g.inv, zeta.volt, p, d)
     cover = Graph(n2, beg2, inv2)
     vm = (np.arange(n2, dtype=np.int64) // q).astype(DTYPE)
     dm = (np.arange(m2, dtype=np.int64) // q).astype(DTYPE)
@@ -288,22 +286,14 @@ def derived_cover(zeta: VoltageAssignment):
 
 
 def translation_action(zeta: VoltageAssignment, cover: Graph) -> GraphAction:
-    """The GF(p)^d translation group acting on the derived cover."""
+    """The GF(p)^d translation group acting on the derived cover: generator i
+    adds the i-th unit vector in every fibre."""
     g = zeta.base
     p, d = zeta.p, zeta.d
-    q = p**d
-    gens = []
-    for i in range(d):
-        shift = p**i
-        base = np.arange(q, dtype=np.int64)
-        digit = (base // shift) % p
-        tgt = base + shift - np.where(digit == p - 1, p * shift, 0)
-        vperm = (np.repeat(np.arange(g.n, dtype=np.int64) * q, q)
-                 + np.tile(tgt, g.n)).astype(DTYPE)
-        dperm = (np.repeat(np.arange(g.m, dtype=np.int64) * q, q)
-                 + np.tile(tgt, g.m)).astype(DTYPE)
-        gens.append((vperm, dperm))
-    return GraphAction.from_vertex_dart(cover, gens, known_order=q)
+    gens = [(fibre_index(np.arange(g.n), unit, p, d),
+             fibre_index(np.arange(g.m), unit, p, d))
+            for unit in np.eye(d, dtype=np.int64)]
+    return GraphAction.from_vertex_dart(cover, gens, known_order=p**d)
 
 
 # ---------------------------------------------------------------------------

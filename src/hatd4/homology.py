@@ -4,9 +4,13 @@ The cycle space of a connected semiedge-free graph has dimension
 beta = |E| - |V| + 1; fundamental cycles of the BFS spanning tree give the
 basis, indexed by cotree edges in positive-dart order.  Automorphisms act
 on cycle classes row-wise.  Maximal invariant subspaces of codimension d
-correspond to minimal admissible covers of degree p^d: the quotient map
-projects fundamental cycles to voltages, the derived graph is the cover,
-and the acting group lifts vertex potentials along the tree.
+correspond to minimal admissible covers of degree p^d.  Each is found as
+its annihilator, a d x beta dual basis r: over GF(2) with d = 1 from the
+bit-packed fixed space, otherwise from the dense module.  Every cover then
+takes one route: `_quotient_matrices` checks invariance and gives the
+induced d x d matrices, `voltages_from_dual` projects the fundamental
+cycles to voltages, and `lift_group` builds the derived cover and lifts the
+acting group by vertex potentials along the tree.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hatd4 import gfp, meataxe
-from hatd4.covers import (CoverError, VoltageAssignment, base_p_digits,
-                          derived_cover, spanning_tree, spanning_tree_mask,
+from hatd4.covers import (CoverError, VoltageAssignment, derived_cover,
+                          fibre_index, spanning_tree, spanning_tree_mask,
                           translation_action)
 from hatd4.graphs import DTYPE, Graph, GraphError
 from hatd4.perms import PermGroup, perm_order
@@ -33,9 +37,6 @@ class HomologyModule:
     dim: int
     action: list  # one (dim x dim) int64 matrix per generator, row convention
     cotree: np.ndarray  # positive dart per basis cycle
-    tree_parent: np.ndarray
-    tree_order: np.ndarray
-    source: GraphAction
     orders: list | None = None  # permutation order of each generator; A^k = I
 
     def is_invariant(self, basis):
@@ -112,20 +113,17 @@ def _integer_rep(g: Graph, action: GraphAction):
     if not mats:
         mats = [np.eye(len(cotree), dtype=np.int64)]
         orders = [1]
-    out = (parent_dart, order, cotree, idx, sgn, mats, orders)
+    out = (cotree, mats, orders)
     g._cache[key] = out
     return out
 
 
 def homology_rep(g: Graph, action: GraphAction, p: int) -> HomologyModule:
     """Action of the generators on H1(graph; GF(p)) in the cycle basis."""
-    parent_dart, order, cotree, idx, sgn, mats, orders = _integer_rep(g, action)
-    return HomologyModule(
-        base=g, p=p, dim=len(cotree),
-        action=[m % p for m in mats],
-        cotree=cotree, tree_parent=parent_dart, tree_order=order,
-        source=action, orders=orders,
-    )
+    cotree, mats, orders = _integer_rep(g, action)
+    return HomologyModule(base=g, p=p, dim=len(cotree),
+                          action=[m % p for m in mats], cotree=cotree,
+                          orders=orders)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +173,15 @@ def _dual_lines(mod: HomologyModule):
         leaves = refined
         if not leaves:
             return []
+    return _lines_of_spans(leaves, p)
+
+
+def _lines_of_spans(bases, p):
+    """Every line in the row spans of the bases, as sorted 1 x beta rref rows."""
     lines = {}
-    for basis in leaves:
-        k = len(basis)
-        for lam_vec in meataxe._monic_vectors(k, p):
-            w = np.zeros(beta, dtype=np.int64)
-            for coeff, row in zip(lam_vec, basis):
-                if coeff:
-                    w = (w + coeff * row) % p
-            rr, piv = gfp.rref(w[None, :], p)
-            if piv:
-                lines[rr.tobytes()] = rr
+    for basis in bases:
+        for rr in meataxe.span_points(basis[:, None, :], p):
+            lines[rr.tobytes()] = rr
     return sorted(lines.values(), key=lambda b: b.tobytes())
 
 
@@ -209,31 +205,21 @@ def cover_from_kernel(mod: HomologyModule, kernel) -> VoltageAssignment:
     """Voltage assignment of the quotient map with the given invariant kernel."""
     p = mod.p
     k = np.atleast_2d(np.asarray(kernel, dtype=np.int64)) % p
-    d = mod.dim - gfp.rank(k, p)
-    if d < 1:
+    if mod.dim - gfp.rank(k, p) < 1:
         raise CoverError("kernel is the whole space; no cover")
-    for i, a in enumerate(mod.action):
-        y = gfp.matmul(k, a, p)
-        aug = np.vstack([k, y])
-        if gfp.rank(aug, p) != k.shape[0]:
-            raise CoverError("kernel not invariant under generator %d" % i)
     r = gfp.nullspace(k, p) if k.shape[0] else gfp.identity(mod.dim, p)
-    return voltages_from_dual(mod, np.atleast_2d(r))
+    _quotient_matrices(mod, r)
+    return voltages_from_dual(mod.base, mod.cotree, r, p)
 
 
-def voltages_from_dual(mod: HomologyModule, r) -> VoltageAssignment:
+def voltages_from_dual(g: Graph, cotree, r, p) -> VoltageAssignment:
     """Voltage assignment whose cotree voltages are the dual projection of
-    the fundamental cycles (r is the d x beta dual basis)."""
-    return _voltages_from_cotree(mod.base, mod.cotree, r, mod.p)
-
-
-def _voltages_from_cotree(g: Graph, cotree, r, p) -> VoltageAssignment:
-    d = r.shape[0]
-    volt = np.zeros((g.m, d), dtype=np.int64)
-    for j, c in enumerate(map(int, cotree)):
-        volt[c] = r[:, j] % p
-        volt[g.inv[c]] = (-r[:, j]) % p
-    return VoltageAssignment(g, p, d, volt)
+    the fundamental cycles (r is the d x beta dual basis, one column per
+    cotree dart)."""
+    volt = np.zeros((g.m, r.shape[0]), dtype=np.int64)
+    volt[cotree] = r.T % p
+    volt[g.inv[cotree]] = (-r.T) % p
+    return VoltageAssignment(g, p, r.shape[0], volt)
 
 
 # ---------------------------------------------------------------------------
@@ -273,49 +259,39 @@ class LiftedPair:
             self.cover.n, self.action.group.order())
 
 
-def _quotient_matrix(mod: HomologyModule, r, a):
-    """d x d matrix q with a @ r^T = r^T @ q, or None if the kernel moves."""
+def _quotient_matrices(mod: HomologyModule, r):
+    """The d x d matrices q with A @ r^T = r^T @ q, one per generator A, for
+    an rref dual basis r; CoverError if the kernel of r is not invariant."""
     p = mod.p
     rt = r.T % p
     _, piv = gfp.rref(r, p)
-    y = gfp.matmul(a, rt, p)
-    q = y[piv, :]
-    if not np.array_equal(gfp.matmul(rt, q, p), y):
-        return None
-    return q
+    qmats = []
+    for gi, a in enumerate(mod.action):
+        y = gfp.matmul(a, rt, p)
+        q = y[piv, :]
+        if not np.array_equal(gfp.matmul(rt, q, p), y):
+            raise CoverError("voltage kernel not invariant under generator %d" % gi)
+        qmats.append(q)
+    return qmats
 
 
 def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
-               dual_basis=None, anchor=0, qmats=None) -> LiftedPair:
+               dual_basis, qmats, anchor=0) -> LiftedPair:
     """Lift the acting group along the derived cover of an admissible voltage.
 
-    The voltage must come from an invariant kernel (admissibility); each
-    generator's lift solves vertex potentials along the spanning tree and is
-    rejected if any cotree dart violates the potential equation.  Lifts of
-    generators fixing the anchor vertex fix the anchored fibre point, so the
-    stabiliser of (anchor, 0) is generated by the lifts of the stabiliser
-    generators supplied through the action ordering.  qmats (the induced
-    matrices on the voltage group) may be supplied to skip building the
-    dense homology representation.
+    zeta must come from the invariant kernel of dual_basis (admissibility),
+    and qmats[i] is the matrix generator i induces on the voltage group
+    GF(p)^d, as `_quotient_matrices` gives it.  Each generator's lift solves
+    vertex potentials along the spanning tree and is rejected if any cotree
+    dart violates the potential equation; fibre point a over v maps to
+    a Q + s(v) over the image of v.  Lifts of generators fixing the anchor
+    vertex fix the anchored fibre point, so the stabiliser of (anchor, 0) is
+    generated by the lifts of the stabiliser generators supplied through the
+    action ordering.
     """
     p, d = zeta.p, zeta.d
-    if qmats is None:
-        mod = homology_rep(g, action, p)
-        if dual_basis is None:
-            # recover the dual basis from the voltages on the cotree darts
-            dual_basis = np.stack([zeta.volt[int(c)] for c in mod.cotree], axis=1) % p
-            dual_basis = gfp.rref(dual_basis, p)[0]
-            if dual_basis.shape[0] != d:
-                raise CoverError("voltages do not define a rank-d projection")
-        qmats = []
-        for gi, a in enumerate(mod.action):
-            qm = _quotient_matrix(mod, dual_basis, a)
-            if qm is None:
-                raise CoverError("voltage kernel not invariant under generator %d" % gi)
-            qmats.append(qm)
     cover, proj = derived_cover(zeta)
     q = p**d
-    vecs, powers = base_p_digits(p, d)
     ends = g.end()
     tree_parent, tree_order = spanning_tree(g)
     lifted = []
@@ -333,13 +309,8 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
         if np.any((s[ends] - s[g.beg] - delta) % p):
             raise CoverError("generator %d does not lift (non-admissible voltage)" % gi)
         s = (s - s[anchor]) % p
-        shifted = (vecs @ qmat % p)
-        vtarget = (shifted[None, :, :] + s[:, None, :]) % p    # (n, q, d)
-        venc = vtarget @ powers
-        lift_v = (vp.astype(np.int64)[:, None] * q + venc).reshape(-1).astype(DTYPE)
-        dtarget = (shifted[None, :, :] + s[g.beg][:, None, :]) % p
-        denc = dtarget @ powers
-        lift_d = (dp.astype(np.int64)[:, None] * q + denc).reshape(-1).astype(DTYPE)
+        lift_v = fibre_index(vp, s, p, d, qmat)
+        lift_d = fibre_index(dp, s[g.beg], p, d, qmat)
         lifted.append((lift_v, lift_d))
         if vp[anchor] == anchor:
             stab_lifts.append(combine(cover, lift_v, lift_d))
@@ -404,13 +375,7 @@ def _gf2_fixed_lines(g: Graph, action: GraphAction):
     if len(basis) > 24:
         raise CoverError("fixed space of dimension %d is too large to enumerate"
                          % len(basis))
-    lines = {}
-    for lam in meataxe._monic_vectors(len(basis), 2):
-        w = (lam @ basis) % 2
-        rr, piv = gfp.rref(w[None, :], 2)
-        if piv:
-            lines[rr.tobytes()] = rr
-    return sorted(lines.values(), key=lambda b: b.tobytes()), cotree
+    return _lines_of_spans([basis], 2), cotree
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +422,14 @@ def minimal_admissible_covers(g: Graph, action: GraphAction, max_order: int,
     for p, dmax in cover_budget(g.n, max_order, primes, dim_override):
         if p == 2 and dmax == 1:
             lines, cotree = _gf2_fixed_lines(g, action)
-            for r in lines:
-                zeta = _voltages_from_cotree(g, cotree, r, 2)
-                ident = [np.eye(1, dtype=np.int64)] * len(action.group.gens)
-                pair = lift_group(g, action, zeta, dual_basis=r, qmats=ident)
-                results[(p, 1, r.tobytes())] = pair
-            continue
-        mod = homology_rep(g, action, p)
-        for r in dual_minimal_submodules(mod, dmax, seed=seed):
-            d = r.shape[0]
-            zeta = voltages_from_dual(mod, r)
-            pair = lift_group(g, action, zeta, dual_basis=r)
-            key = (p, d, r.tobytes())
-            results[key] = pair
+            ident = [np.eye(1, dtype=np.int64)] * len(action.group.gens)
+            found = [(cotree, r, ident) for r in lines]
+        else:
+            mod = homology_rep(g, action, p)
+            found = [(mod.cotree, r, _quotient_matrices(mod, r))
+                     for r in dual_minimal_submodules(mod, dmax, seed=seed)]
+        for cotree, r, qmats in found:
+            zeta = voltages_from_dual(g, cotree, r, p)
+            pair = lift_group(g, action, zeta, r, qmats)
+            results[(p, r.shape[0], r.tobytes())] = pair
     return [results[k] for k in sorted(results.keys())]

@@ -8,10 +8,15 @@ side; otherwise nullspace vectors are spun for cheap splits.  A spin runs
 breadth-first over blocks: each round applies every generator to the whole
 frontier in one product and inserts the images into the echelon basis in
 one elimination.  All random choices come from a seeded generator, so runs
-are reproducible.
+are reproducible.  `span_points` streams the rref of every monic
+combination of a list of matrices, one per projective point of their span;
+the hom-image enumeration here and the dual-line searches in `homology`
+share it.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -187,9 +192,8 @@ def minimal_submodules(gens, p, dmax, seed=0, enum_cap=2_000_000):
 
     Complete: candidates are the composition factors (every socle constituent
     is one); each candidate's minimal submodules are the images of its
-    nonzero homs, enumerated over scalar-normalised coefficient vectors.
+    nonzero homs, one per point of `span_points` over the hom space.
     """
-    n = module_dim(gens)
     if dmax < 1:
         return []
     factors = chop(gens, p, seed)
@@ -210,31 +214,28 @@ def minimal_submodules(gens, p, dmax, seed=0, enum_cap=2_000_000):
         count = (p**r - 1) // (p - 1)
         if count > enum_cap:
             raise MeatAxeError("hom-space enumeration too large (%d points)" % count)
-        for lam in _monic_vectors(r, p):
-            f = np.zeros((e, n), dtype=np.int64)
-            for c, h in zip(lam, homs):
-                if c:
-                    f = (f + c * h) % p
-            rr, piv = gfp.rref(f, p)
-            if len(piv) != e:
+        for rr in span_points(homs, p):
+            if len(rr) != e:
                 raise MeatAxeError("hom image of an irreducible collapsed")
-            found[rr.tobytes() + bytes([len(piv)])] = rr
+            found[rr.tobytes()] = rr
     return sorted(found.values(), key=lambda b: (b.shape[0], b.tobytes()))
 
 
-def _monic_vectors(r, p):
-    """All vectors in GF(p)^r whose first nonzero coordinate is 1."""
-    for lead in range(r):
-        tail = r - lead - 1
-        total = p**tail
-        vec = np.zeros(r, dtype=np.int64)
-        vec[lead] = 1
-        for k in range(total):
-            rem = k
-            for i in range(tail):
-                vec[lead + 1 + i] = rem % p
-                rem //= p
-            yield vec.copy()
+def span_points(mats, p):
+    """Yield rref(sum_i lam_i mats[i]) for every lam in GF(p)^r, r = len(mats),
+    whose first nonzero coordinate is 1: one combination per point of the
+    projective space over the span, generated and reduced one at a time, so
+    the p^r points are never held at once.  The rref drops zero rows.
+    """
+    stack = np.asarray(mats, dtype=np.int64) % p
+    for lead in range(len(stack)):
+        tail = stack[lead + 1 :]
+        for coeffs in itertools.product(range(p), repeat=len(tail)):
+            comb = stack[lead]
+            for c, row in zip(coeffs, tail):
+                if c:
+                    comb = (comb + c * row) % p
+            yield gfp.rref(comb, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +248,8 @@ def all_subspaces(n, p):
     zero = np.zeros((0, n), dtype=np.int64)
     seen = {zero.tobytes(): zero}
     frontier = [zero]
-    vectors = []
-    for k in range(1, p**n):
-        rem = k
-        v = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            v[i] = rem % p
-            rem //= p
-        vectors.append(v)
+    vectors = [np.array(v, dtype=np.int64)
+               for v in itertools.product(range(p), repeat=n) if any(v)]
     while frontier:
         basis = frontier.pop()
         for v in vectors:

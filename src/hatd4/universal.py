@@ -51,7 +51,8 @@ class EpiWitness:
             return False
         if not np.array_equal(c[a[c[a]]], b):      # (ac)^2 = b
             return False
-        if _closure_size((a, b, c), cap=9) != 8:
+        # the relations make <a,b,c> a quotient of D4; it must be all of it
+        if PermGroup(self.group.degree, [a, b, c]).order() != 8:
             return False
         sub = PermGroup(self.group.degree, [a, g])
         return sub.order() == self.group.order()
@@ -70,24 +71,6 @@ class EpiWitness:
 
 def _perm_hash(p):
     return hashlib.sha256(np.asarray(p, dtype=np.int64).tobytes()).hexdigest()[:12]
-
-
-def _closure_size(gens, cap):
-    seen = {identity_perm(len(gens[0])).tobytes()}
-    frontier = [identity_perm(len(gens[0]))]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for s in gens:
-                w = s[e]
-                key = w.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(w)
-                    if len(seen) > cap:
-                        return len(seen)
-        frontier = nxt
-    return len(seen)
 
 
 def epimorphism_search(group: PermGroup) -> list[EpiWitness]:

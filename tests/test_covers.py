@@ -8,7 +8,8 @@ from hatd4 import canon
 from hatd4.covers import (CoverError, LemmaNQReport, Projection,
                           VoltageAssignment, base_p_digits, check_lemma_nq,
                           compose,
-                          derived_cover, identity_projection, is_covering,
+                          derived_cover, fibre_index, identity_projection,
+                          is_covering,
                           quotient, quotient_group_action, read_voltages,
                           spanning_tree_mask, translation_action,
                           write_voltages)
@@ -211,6 +212,41 @@ def test_base_p_digits_match_digit_loop(p, d):
             rem //= p
     assert np.array_equal(vecs, want)
     assert np.array_equal(vecs @ powers, np.arange(p**d))
+
+
+def _fibre_loop(ids, shifts, p, d, qmat):
+    """Reference for fibre_index: digits by division, one base index and one
+    fibre vector at a time."""
+    q = p**d
+    out = np.zeros(len(ids) * q, dtype=np.int64)
+    for x, base in enumerate(ids):
+        for k in range(q):
+            a = [(k // p**i) % p for i in range(d)]
+            b = [(sum(a[j] * int(qmat[j, i]) for j in range(d)) + int(shifts[x][i])) % p
+                 for i in range(d)]
+            out[x * q + k] = int(base) * q + sum(b[i] * p**i for i in range(d))
+    return out
+
+
+@pytest.mark.parametrize("p, d, mixed", [
+    (2, 0, np.zeros((0, 0), dtype=np.int64)),
+    (2, 3, np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]])),
+    (3, 2, np.array([[0, 1], [2, 1]])),
+    (5, 1, np.array([[2]])),
+])
+def test_fibre_index_matches_dart_loop(p, d, mixed):
+    rng = np.random.default_rng(p * 10 + d)
+    ids = rng.integers(0, 9, size=7)
+    shifts = rng.integers(0, p, size=(7, d))
+    eye = np.eye(d, dtype=np.int64)
+    for qmat in (None, mixed):
+        got = fibre_index(ids, shifts, p, d, qmat)
+        want = _fibre_loop(ids, shifts, p, d, eye if qmat is None else qmat)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+        # every Q here is invertible, so it permutes each fibre
+        assert np.array_equal(np.sort(got.reshape(7, p**d) % p**d, axis=1),
+                              np.tile(np.arange(p**d), (7, 1)))
 
 
 def test_voltage_file_roundtrip(tmp_path):

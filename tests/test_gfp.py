@@ -7,6 +7,8 @@ here and, at the smallest sizes, with the exhaustive invariant-subspace
 oracle.
 """
 
+import inspect
+import itertools
 import warnings
 
 import numpy as np
@@ -220,3 +222,38 @@ def test_hom_space_rejects_unequal_generator_counts():
         meataxe.hom_space(one, two, p)
     with pytest.raises(meataxe.MeatAxeError):
         meataxe.hom_space(two, one, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_span_points_one_rref_per_projective_point(p, r):
+    """span_points against brute force over all of GF(p)^r: each nonzero
+    coefficient vector, scaled so its first nonzero entry is 1, is one
+    projective point, and span_points gives the rref of its combination
+    exactly once."""
+    rng = np.random.default_rng(100 * p + r)
+    e, n = 2, 5
+    while True:
+        mats = rng.integers(0, p, size=(r, e, n))
+        if gfp.rank(mats.reshape(r, -1), p) == r:
+            break
+    want = {}
+    for lam in itertools.product(range(p), repeat=r):
+        if not any(lam):
+            continue
+        lead = next(c for c in lam if c)
+        monic = tuple(c * gfp.inv_mod(lead, p) % p for c in lam)
+        comb = sum(c * m for c, m in zip(monic, mats)) % p
+        want[monic] = gfp.rref(comb, p)[0].tobytes()
+    got = [rr.tobytes() for rr in meataxe.span_points(list(mats), p)]
+    assert len(want) == (p**r - 1) // (p - 1)
+    assert sorted(got) == sorted(want.values())
+
+
+def test_span_points_streams():
+    """span_points is a generator: each point is made when it is asked for,
+    not all 2^16 - 1 up front."""
+    gen = meataxe.span_points(np.eye(16, dtype=np.int64)[:, None, :], 2)
+    assert inspect.isgenerator(gen)
+    first = next(gen)
+    assert first.shape == (1, 16) and first[0, 0] == 1

@@ -6,7 +6,8 @@ import pytest
 from hatd4 import canon, gfp, meataxe
 from hatd4.covers import CoverError, check_lemma_nq, quotient
 from hatd4.graphs import certificate, from_simple_edges
-from hatd4.homology import (_dual_lines, _eigenvalue_candidates, cover_budget,
+from hatd4.homology import (_dual_lines, _eigenvalue_candidates,
+                            _quotient_matrices, cover_budget,
                             cover_from_kernel, dual_minimal_submodules,
                             homology_rep, lift_group,
                             maximal_invariant_submodules,
@@ -144,11 +145,46 @@ def test_cover_from_kernel_rejects_whole_space(base_pair_42):
         cover_from_kernel(mod, np.eye(mod.dim, dtype=np.int64))
 
 
+def test_quotient_matrices_reject_non_invariant(base_pair_42):
+    """A dual basis whose kernel some generator moves has no induced matrix;
+    the error names the generator.  An invariant one gets A r^T = r^T q."""
+    graph, action = base_pair_42
+    p = 2
+    mod = homology_rep(graph, action, p)
+    r = np.zeros((1, mod.dim), dtype=np.int64)
+    r[0, 0] = 1
+    assert not mod.is_invariant(gfp.nullspace(r, p))
+    with pytest.raises(CoverError, match="generator [0-9]+"):
+        _quotient_matrices(mod, r)
+    for r in dual_minimal_submodules(mod, 2):
+        qmats = _quotient_matrices(mod, r)
+        for a, q in zip(mod.action, qmats):
+            assert np.array_equal(gfp.matmul(a, r.T, p), gfp.matmul(r.T, q, p))
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_voltages_from_dual_match_cotree_loop(base_pair_42, p):
+    """Cotree dart j carries column j of r, its inverse the negation, every
+    tree dart zero, checked against a loop over the cotree darts."""
+    graph, action = base_pair_42
+    mod = homology_rep(graph, action, p)
+    r = np.random.default_rng(p).integers(0, p, size=(2, mod.dim))
+    want = np.zeros((graph.m, 2), dtype=np.int64)
+    for j, c in enumerate(map(int, mod.cotree)):
+        want[c] = r[:, j] % p
+        want[graph.inv[c]] = (-r[:, j]) % p
+    zeta = voltages_from_dual(graph, mod.cotree, r, p)
+    assert (zeta.p, zeta.d) == (p, 2)
+    assert np.array_equal(zeta.volt, want)
+
+
 def test_classic_double_cover_lift(triangle):
     rot = rotation_action(triangle, [1, 2, 0])
     mod = homology_rep(triangle, rot, 2)
     zeta = cover_from_kernel(mod, np.zeros((0, mod.dim), dtype=np.int64))
-    pair = lift_group(triangle, rot, zeta)
+    r = np.eye(mod.dim, dtype=np.int64)  # the zero kernel's dual basis
+    pair = lift_group(triangle, rot, zeta, dual_basis=r,
+                      qmats=_quotient_matrices(mod, r))
     assert pair.cover.n == 6
     assert pair.action.group.order() == 6  # Z3 lift + Z2 translations
 
