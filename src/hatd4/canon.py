@@ -7,9 +7,13 @@ the usual counting refinement to the coarsest equitable ordered partition;
 the individualization target is the first smallest non-singleton cell.
 Leaves are compared through (node-invariant path, leaf encoding); the best
 leaf is the canonical labeling, leaves that tie with it yield automorphisms,
-discovered automorphisms prune sibling branches through stabiliser orbits
-along the first search path, and a tie triggers a backjump to the deepest
-common ancestor with the best path.
+and a tie triggers a backjump to the deepest common ancestor with the best
+path.  Automorphisms prune sibling branches through stabiliser orbits along
+the first search path: the discovered ones, and from the root on any known
+generators the caller passes in (McKay & Piperno, "Practical graph
+isomorphism, II", 2014), such as the vertex parts of a group already known
+to act on the graph.  Each node on that path keeps its orbit labels and
+rebuilds them only when a new automorphism has been found.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from collections import deque
 
 import numpy as np
 
+from hatd4.graphs import GraphError, csr_rows
 from hatd4.perms import inverse
 
 DTYPE = np.int32
@@ -114,13 +119,7 @@ def _csr(n, src, dst, w):
 
 def _gather(indptr, ind, w, pts):
     """Concatenated (targets, weights) of the CSR rows of pts."""
-    lens = indptr[pts + 1] - indptr[pts]
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(0, dtype=DTYPE), np.zeros(0, dtype=np.int64)
-    starts = np.repeat(indptr[pts], lens)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-    idx = starts + offs
+    idx = csr_rows(indptr, pts)
     return ind[idx], w[idx]
 
 
@@ -141,10 +140,10 @@ class _Partition:
     def from_ranks(cls, ranks):
         n = len(ranks)
         lab = np.argsort(ranks, kind="stable").astype(DTYPE)
-        cstart = np.zeros(n, dtype=DTYPE)
         vals = np.asarray(ranks)[lab]
-        for i in range(1, n):
-            cstart[i] = i if vals[i] != vals[i - 1] else cstart[i - 1]
+        first = np.ones(n, dtype=bool)
+        first[1:] = vals[1:] != vals[:-1]
+        cstart = np.maximum.accumulate(np.where(first, np.arange(n), 0)).astype(DTYPE)
         return cls(lab, inverse(lab), cstart)
 
     def copy(self):
@@ -159,6 +158,10 @@ class _Partition:
         ends = np.append(starts[1:], len(self.lab))
         return starts, ends
 
+    def cell_ends(self, starts):
+        """End (exclusive) of each cell starting at starts; cstart ascends."""
+        return np.searchsorted(self.cstart, starts, side="right")
+
     def target_cell(self):
         """Start of the first smallest non-singleton cell, or -1."""
         starts, ends = self.cells()
@@ -167,10 +170,7 @@ class _Partition:
         if not np.any(nontriv):
             return -1, 0
         best = np.min(sizes[nontriv])
-        for s, e in zip(starts, ends):
-            if e - s == best:
-                return int(s), int(best)
-        return -1, 0
+        return int(starts[np.argmax(sizes == best)]), int(best)
 
     def individualize(self, v):
         s = int(self.cstart[self.pos[v]])
@@ -178,38 +178,30 @@ class _Partition:
         u = int(self.lab[s])
         self.lab[s], self.lab[pv] = v, u
         self.pos[v], self.pos[u] = s, pv
-        e = s + 1
-        while e < len(self.lab) and self.cstart[e] == s:
-            e += 1
-        self.cstart[s + 1 : e] = s + 1
+        self.cstart[s + 1 : self.cell_ends(s)] = s + 1
 
 
 def _refine(part: _Partition, view: _View, splitters: deque):
     """Counting refinement to the coarsest equitable partition (in place)."""
-    n = view.n
-    key = np.zeros(n, dtype=np.int64)
+    key = np.zeros(view.n, dtype=np.int64)
     big = np.int64(max(int(view.emult.sum()) + int(view.amult.sum()), 1) * 4 + 2)
+    lab, pos, cstart = part.lab, part.pos, part.cstart
     while splitters:
         w = splitters.popleft()
-        t0, w0 = _gather(view.und_indptr, view.und_ind, view.und_w, w)
-        touched = [t0]
-        np.add.at(key, t0, w0 * big * big)
+        touched, w0 = _gather(view.und_indptr, view.und_ind, view.und_w, w)
+        np.add.at(key, touched, w0 * (big * big))
         if view.has_arcs:
             t1, w1 = _gather(view.in_indptr, view.in_ind, view.in_w, w)
             np.add.at(key, t1, w1 * big)
             t2, w2 = _gather(view.out_indptr, view.out_ind, view.out_w, w)
             np.add.at(key, t2, w2)
-            touched.extend([t1, t2])
-        touched = np.unique(np.concatenate(touched))
+            touched = np.concatenate([touched, t1, t2])
         if touched.size == 0:
             continue
-        cids = np.unique(part.cstart[part.pos[touched]])
-        for s in cids:
-            s = int(s)
-            e = s + 1
-            lab = part.lab
-            while e < n and part.cstart[e] == s:
-                e += 1
+        # splitting a cell only rewrites cstart inside it, so every end
+        # found here stays valid through the loop
+        cids = np.unique(cstart[pos[touched]])
+        for s, e in zip(cids.tolist(), part.cell_ends(cids).tolist()):
             if e - s == 1:
                 continue
             members = lab[s:e]
@@ -220,17 +212,17 @@ def _refine(part: _Partition, view: _View, splitters: deque):
             members = members[order]
             vals = vals[order]
             lab[s:e] = members
-            part.pos[members] = np.arange(s, e, dtype=DTYPE)
-            breaks = np.nonzero(vals[1:] != vals[:-1])[0] + 1
-            frag_starts = np.concatenate([[0], breaks])
-            frag_ends = np.concatenate([breaks, [e - s]])
-            sizes = frag_ends - frag_starts
-            largest = int(np.argmax(sizes))
+            pos[members] = np.arange(s, e, dtype=DTYPE)
+            breaks = (np.flatnonzero(vals[1:] != vals[:-1]) + 1).tolist()
+            frag_starts = [0] + breaks
+            frag_ends = breaks + [e - s]
+            sizes = [fe - fs for fs, fe in zip(frag_starts, frag_ends)]
+            largest = sizes.index(max(sizes))
             for k, (fs, fe) in enumerate(zip(frag_starts, frag_ends)):
-                part.cstart[s + fs : s + fe] = s + fs
+                cstart[s + fs : s + fe] = s + fs
                 if k != largest:
-                    splitters.append(members[fs:fe].copy())
-            splitters.append(members[frag_starts[largest]:frag_ends[largest]].copy())
+                    splitters.append(members[fs:fe])
+            splitters.append(members[frag_starts[largest]:frag_ends[largest]])
         key[touched] = 0
 
 
@@ -280,7 +272,8 @@ def _leaf_bytes(part: _Partition, view: _View):
 
 
 class _Frame:
-    __slots__ = ("part", "state", "cands", "idx", "explored", "on_spine")
+    __slots__ = ("part", "state", "cands", "idx", "explored", "on_spine",
+                 "fixing", "orb", "orb_gens")
 
     def __init__(self, part, state):
         self.part = part
@@ -289,6 +282,21 @@ class _Frame:
         self.idx = 0
         self.explored = []
         self.on_spine = False
+        self.fixing = []    # automorphisms that fix the prefix pointwise
+        self.orb = None     # their orbit labels, or None while there are none
+        self.orb_gens = 0   # how many automorphisms have been sorted into fixing
+
+    def orbits(self, n, gens, prefix):
+        """Orbit labels of the automorphisms in gens that fix prefix
+        pointwise, rebuilt only when gens has grown since the last call."""
+        if self.orb_gens < len(gens):
+            pre = np.asarray(prefix, dtype=DTYPE)
+            new = [g for g in gens[self.orb_gens:] if np.array_equal(g[pre], pre)]
+            if new:
+                self.fixing.extend(new)
+                self.orb = _orbit_labels(n, self.fixing, self.orb)
+            self.orb_gens = len(gens)
+        return self.orb
 
 
 class CanonResult:
@@ -301,8 +309,11 @@ class CanonResult:
         self.leaves = leaves
 
 
-def _orbit_labels(n, gens):
-    orb = np.arange(n, dtype=DTYPE)
+def _orbit_labels(n, gens, orb=None):
+    """Smallest point of each point's orbit under gens.  orb, if given,
+    holds these labels for a subgroup generated by some of gens."""
+    if orb is None:
+        orb = np.arange(n, dtype=DTYPE)
     if not gens:
         return orb
     changed = True
@@ -323,8 +334,45 @@ def _orbit_labels(n, gens):
     return orb
 
 
-def search(view: _View) -> CanonResult:
+def _known_automorphisms(view: _View, known_gens):
+    """The non-identity permutations of known_gens as arrays, each checked
+    to be an automorphism of the view: it keeps every vertex's base tuple
+    and maps the edge rows and the arc rows onto themselves."""
     n = view.n
+    ident = np.arange(n, dtype=DTYPE)
+    ekeys = view.eu.astype(np.int64) * n + view.ew
+    akeys = view.au.astype(np.int64) * n + view.aw
+    out = []
+    for p in known_gens:
+        p = np.asarray(p)
+        if p.shape != (n,) or not np.array_equal(np.sort(p), ident):
+            raise GraphError("known generator is not a permutation of the %d vertices" % n)
+        p = p.astype(DTYPE)
+        if np.array_equal(p, ident):
+            continue
+        if not np.array_equal(view.base_tuple[p], view.base_tuple):
+            raise GraphError("known generator moves a vertex to one of another kind")
+        a = p[view.eu].astype(np.int64)
+        b = p[view.ew].astype(np.int64)
+        if not _rows_onto(ekeys, view.emult, np.minimum(a, b) * n + np.maximum(a, b)):
+            raise GraphError("known generator does not preserve the edges")
+        if not _rows_onto(akeys, view.amult, p[view.au].astype(np.int64) * n + p[view.aw]):
+            raise GraphError("known generator does not preserve the arcs")
+        out.append(p)
+    return out
+
+
+def _rows_onto(keys, mult, images):
+    """Whether row i -> row with key images[i] permutes the rows (keys
+    ascending and distinct) and keeps their multiplicities."""
+    order = np.argsort(images)
+    return np.array_equal(images[order], keys) and np.array_equal(mult[order], mult)
+
+
+def search(view: _View, known_gens=()) -> CanonResult:
+    n = view.n
+    gens = _known_automorphisms(view, known_gens)
+    known = len(gens)
     root = _Partition.from_ranks(view.base_rank)
     q = deque(root.lab[s:e].copy() for s, e in zip(*root.cells()))
     _refine(root, view, q)
@@ -333,7 +381,6 @@ def search(view: _View) -> CanonResult:
     best_prefix = []
     best_leaf = None
     best_lab = None
-    gens = []
     spine = None
     leaves = 0
     backjump = None
@@ -387,11 +434,9 @@ def search(view: _View) -> CanonResult:
         v = int(fr.cands[fr.idx])
         fr.idx += 1
         if fr.on_spine and fr.explored and gens:
-            fixing = [g for g in gens if all(g[u] == u for u in prefix)]
-            if fixing:
-                orb = _orbit_labels(n, fixing)
-                if any(orb[v] == orb[u] for u in fr.explored):
-                    continue
+            orb = fr.orbits(n, gens, prefix)
+            if orb is not None and np.any(orb[fr.explored] == orb[v]):
+                continue
         fr.explored.append(v)
         child = fr.part.copy()
         child.individualize(v)
@@ -416,7 +461,9 @@ def search(view: _View) -> CanonResult:
             best_path[depth + 1 :] = []
         # (when state == eq the stored invariant already matches)
 
-    return CanonResult(best_leaf, best_lab, gens, leaves)
+    # discovered automorphisms first: aut_group's unknown-order chain over
+    # this list is faster in that order
+    return CanonResult(best_leaf, best_lab, gens[known:] + gens[:known], leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +471,29 @@ def search(view: _View) -> CanonResult:
 # ---------------------------------------------------------------------------
 
 
-def canonical(g, colors=None, arcs=None) -> CanonResult:
-    """Canonical search result for a graph skeleton (cached on the graph)."""
+def canonical(g, colors=None, arcs=None, known_gens=()) -> CanonResult:
+    """Canonical search result for a graph skeleton (cached on the graph).
+
+    known_gens are vertex permutations of a group already known to act on
+    the skeleton by automorphisms, for example the vertex parts of a
+    `GraphAction`'s generators.  The search prunes by their orbits from the
+    root on; a search checks each of them and raises GraphError for one that
+    is not an automorphism.  The result's aut_gens lists the automorphisms
+    the search found, then the known ones.  The cache key leaves known_gens
+    out: the certificate does not depend on them, and aut_gens generates the
+    skeleton's automorphism group with or without them.
+    """
     key = ("canon", None if colors is None else bytes(np.asarray(colors, np.int64)),
            None if arcs is None else np.asarray(arcs, bool).tobytes())
     hit = g._cache.get(key)
     if hit is None:
-        hit = search(_View(g, colors=colors, arcs=arcs))
+        hit = search(_View(g, colors=colors, arcs=arcs), known_gens=known_gens)
         g._cache[key] = hit
     return hit
 
 
-def certificate_bytes(g, colors=None, arcs=None) -> bytes:
-    return canonical(g, colors=colors, arcs=arcs).cert
+def certificate_bytes(g, colors=None, arcs=None, known_gens=()) -> bytes:
+    return canonical(g, colors=colors, arcs=arcs, known_gens=known_gens).cert
 
 
 def isomorphism(g1, g2):
@@ -506,7 +563,13 @@ def extend_vertex_map_to_darts(g1, g2, vmap):
 
 
 def _dart_classes(g):
-    """Positive darts grouped by (kind, endpoints), sorted within groups."""
+    """Positive darts grouped by (kind, endpoints), sorted within groups.
+
+    Computed once per graph and cached; callers must not mutate the dict
+    (its values are tuples)."""
+    hit = g._cache.get("dart_classes")
+    if hit is not None:
+        return hit
     groups = {}
     ends = g.end()
     for x in map(int, g.edges()):
@@ -519,7 +582,9 @@ def _dart_classes(g):
         else:
             key = ("link", min(u, w), max(u, w))
         groups.setdefault(key, []).append(x)
-    return groups
+    hit = {key: tuple(darts) for key, darts in groups.items()}
+    g._cache["dart_classes"] = hit
+    return hit
 
 
 def local_dart_gens(g):

@@ -120,21 +120,29 @@ class Graph:
         return self._cache[key]
 
     def _component_of(self, start):
+        """Number of vertices reachable from start: a breadth-first search
+        with one gather of the frontier's darts per layer."""
         seen = np.zeros(self.n, dtype=bool)
         seen[start] = True
-        frontier = [start]
+        frontier = np.array([start], dtype=np.int64)
         ends = self.end()
         indptr, darts = self.darts_by_vertex()
-        count = 1
-        while frontier:
-            v = frontier.pop()
-            for x in darts[indptr[v] : indptr[v + 1]]:
-                w = ends[x]
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    frontier.append(int(w))
-        return count
+        while frontier.size:
+            nbrs = ends[darts[csr_rows(indptr, frontier)]]
+            frontier = np.unique(nbrs[~seen[nbrs]])
+            seen[frontier] = True
+        return int(np.count_nonzero(seen))
+
+
+def csr_rows(indptr, rows):
+    """Positions of the entries of the given CSR rows, row after row."""
+    if len(rows) == 1:
+        r = int(rows[0])
+        return np.arange(indptr[r], indptr[r + 1])
+    lens = indptr[rows + 1] - indptr[rows]
+    total = int(lens.sum())
+    offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
+    return np.repeat(indptr[rows], lens) + offs
 
 
 @dataclass(frozen=True)
@@ -239,13 +247,17 @@ def structural_profile(g: Graph) -> StructuralProfile:
     )
 
 
-def certificate(g: Graph) -> GraphCertificate:
-    """Canonical byte certificate; equal certificates iff isomorphic graphs."""
+def certificate(g: Graph, known_gens=()) -> GraphCertificate:
+    """Canonical byte certificate; equal certificates iff isomorphic graphs.
+
+    known_gens, vertex permutations of a group known to act on g, speed up
+    the search and leave the certificate unchanged (see `canon.canonical`).
+    """
     if not g.is_connected():
         raise GraphError("certificate requires a connected graph")
     from hatd4 import canon
 
-    return GraphCertificate(canon.certificate_bytes(g))
+    return GraphCertificate(canon.certificate_bytes(g, known_gens=known_gens))
 
 
 # ---------------------------------------------------------------------------

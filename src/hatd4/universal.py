@@ -254,9 +254,12 @@ class RelevantPair:
         return self.action.group.order()
 
     def certificate(self):
+        """Graph certificate; the group's vertex permutations seed the search."""
         from hatd4.graphs import certificate
 
-        return certificate(self.graph).data
+        n = self.graph.n
+        return certificate(self.graph,
+                           known_gens=[h[:n] for h in self.action.group.gens]).data
 
 
 def dedupe_pairs(pairs):

@@ -1,0 +1,255 @@
+"""Partition-backtrack search seeded with known automorphisms, the cached dart
+classes, and the breadth-first connectivity search."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hatd4 import canon
+from hatd4 import census as CE
+from hatd4.graphs import Graph, GraphError, certificate
+from hatd4.perms import PermGroup
+from hatd4.symmetry import aut_group
+
+
+def fresh(g):
+    """A copy of g with an empty cache, so that each search runs anew."""
+    return Graph(g.n, g.beg, g.inv)
+
+
+def vertex_gens(action):
+    n = action.graph.n
+    return [h[:n] for h in action.group.gens]
+
+
+def skeleton_order(res, n):
+    return PermGroup(n, res.aut_gens).order() if res.aut_gens else 1
+
+
+def check_seeding(g, known, arcs=None):
+    """Seeded and unseeded searches agree on the certificate, on the order
+    of the group their automorphisms generate and, without arcs, on the
+    order of `aut_group`; returns both results."""
+    h1, h2 = fresh(g), fresh(g)
+    plain = canon.canonical(h1, arcs=arcs)
+    seeded = canon.canonical(h2, arcs=arcs, known_gens=known)
+    assert seeded.cert == plain.cert
+    assert skeleton_order(seeded, g.n) == skeleton_order(plain, g.n)
+    if arcs is None:
+        assert aut_group(h2).group.order() == aut_group(h1).group.order()
+    return plain, seeded
+
+
+# ---------------------------------------------------------------------------
+# census pairs, seeded with their own group
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pairs_m300():
+    """The census base pairs at M=300 and their level-1 covers."""
+    cfg = CE.CensusConfig(max_order=300)
+    p0, _ = CE.base_pairs(cfg)
+    return p0 + CE.expand_level(p0, cfg, 1)
+
+
+def test_seeded_search_matches_unseeded_on_census_pairs(pairs_m300):
+    assert sorted(p.graph.n for p in pairs_m300)[:3] == [42, 84, 90]
+    assert len(pairs_m300) == 15
+    for pair in pairs_m300:
+        g = pair.graph
+        known = vertex_gens(pair.action)
+        plain, seeded = check_seeding(g, known)
+        assert seeded.leaves <= plain.leaves
+        assert (certificate(fresh(g), known_gens=known).data
+                == certificate(fresh(g)).data == pair.certificate())
+
+
+def test_seeding_prunes_the_order_42_pair(base_pair_42):
+    g, action = base_pair_42
+    known = vertex_gens(action)
+    plain, seeded = check_seeding(g, known)
+    assert seeded.leaves < plain.leaves
+    # discovered automorphisms come first, the known ones after them
+    k = len(known)
+    assert all(np.array_equal(a, b) for a, b in zip(seeded.aut_gens[-k:], known))
+
+
+def test_cache_key_ignores_seeds(base_pair_42):
+    g, action = base_pair_42
+    h = fresh(g)
+    seeded = canon.canonical(h, known_gens=vertex_gens(action))
+    assert canon.canonical(h) is seeded
+
+
+def test_frame_orbits_rebuilt_only_for_new_automorphisms(monkeypatch):
+    calls = []
+    orbit_labels = canon._orbit_labels
+    monkeypatch.setattr(canon, "_orbit_labels",
+                        lambda *args: calls.append(args) or orbit_labels(*args))
+    n = 8
+    rot = (np.arange(n) + 1) % n
+    refl = (-np.arange(n)) % n
+    times3 = (3 * np.arange(n)) % n
+    fr = canon._Frame(None, "eq")
+    # no automorphism fixes the prefix yet, so there are no orbits to build
+    assert fr.orbits(n, [rot], [0]) is None and not calls
+    gens = [rot, refl]
+    orb = fr.orbits(n, gens, [0])
+    assert orb.tolist() == [0, 1, 2, 3, 4, 3, 2, 1]
+    assert fr.orbits(n, gens, [0]) is orb and len(calls) == 1
+    gens.append(times3)
+    assert fr.orbits(n, gens, [0]).tolist() == [0, 1, 2, 1, 4, 1, 2, 1]
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# relabelled circulant multigraphs seeded with their rotation
+# ---------------------------------------------------------------------------
+
+
+def circulant(n, jumps, loops, semis):
+    """Dart graph of a circulant multigraph on Z_n with `loops` loops and
+    `semis` semiedges at every vertex, and its arc set (the dart v -> v+j
+    of every link, one dart of every loop, every semiedge)."""
+    beg, inv, arcs = [], [], []
+
+    def add(vs, arc):
+        ids = list(range(len(beg), len(beg) + len(vs)))
+        beg.extend(vs)
+        inv.extend(ids)
+        arcs.extend([arc] * len(vs))
+        return ids
+
+    verts = list(range(n))
+    for j in jumps:
+        fwd = add(verts, True)
+        back = fwd if 2 * j == n else add([(v + j) % n for v in verts], False)
+        for v in verts:
+            x, y = fwd[v], back[(v + j) % n if 2 * j == n else v]
+            inv[x], inv[y] = y, x
+    for _ in range(loops):
+        a, b = add(verts, True), add(verts, False)
+        for x, y in zip(a, b):
+            inv[x], inv[y] = y, x
+    for _ in range(semis):
+        add(verts, True)
+    return Graph(n, beg, inv), np.array(arcs, dtype=bool)
+
+
+@st.composite
+def seeded_circulants(draw):
+    n = draw(st.integers(3, 12))
+    jumps = [1] + draw(st.lists(st.integers(1, n // 2), max_size=3))
+    g, arcs = circulant(n, jumps, draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    vp = np.array(draw(st.permutations(range(n))), dtype=np.int32)
+    dp = np.array(draw(st.permutations(range(g.m))), dtype=np.int32)
+    dinv = np.empty_like(dp)
+    dinv[dp] = np.arange(g.m, dtype=np.int32)
+    h = Graph(n, vp[g.beg[dinv]], dp[g.inv[dinv]])
+    rot = np.empty(n, dtype=np.int32)
+    rot[vp] = vp[(np.arange(n) + 1) % n]
+    refl = np.empty(n, dtype=np.int32)
+    refl[vp] = vp[(-np.arange(n)) % n]
+    return g, arcs, h, arcs[dinv], rot, refl
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_circulants(), st.booleans())
+def test_seeded_circulants_match_unseeded(case, reflect):
+    g, arcs, h, harcs, rot, refl = case
+    known = [rot, refl] if reflect else [rot]
+    plain, seeded = check_seeding(h, known)
+    assert seeded.cert == canon.canonical(fresh(g)).cert
+    assert seeded.leaves <= plain.leaves
+    # the rotation also keeps the arc set; the reflection reverses it
+    _, seeded_arcs = check_seeding(h, [rot], arcs=harcs)
+    assert seeded_arcs.cert == canon.canonical(fresh(g), arcs=arcs).cert
+
+
+# ---------------------------------------------------------------------------
+# seeds that are not automorphisms
+# ---------------------------------------------------------------------------
+
+
+def test_seed_that_is_not_an_automorphism_raises():
+    c5, c5arcs = circulant(5, [1], 0, 0)
+    rot = (np.arange(5) + 1) % 5
+    refl = (-np.arange(5)) % 5
+    with pytest.raises(GraphError, match="edges"):
+        canon.canonical(c5, known_gens=[rot, [1, 0, 2, 3, 4]])
+    with pytest.raises(GraphError, match="edges"):
+        certificate(fresh(c5), known_gens=[[1, 0, 2, 3, 4]])
+    with pytest.raises(GraphError, match="arcs"):
+        canon.canonical(fresh(c5), arcs=c5arcs, known_gens=[refl])
+    with pytest.raises(GraphError, match="permutation"):
+        canon.canonical(fresh(c5), known_gens=[[0, 0, 1, 2, 3]])
+    with pytest.raises(GraphError, match="permutation"):
+        canon.canonical(fresh(c5), known_gens=[rot[:4]])
+    # a semiedge at vertex 0 only: the rotation keeps the cycle's edges but
+    # moves the semiedge's vertex to one without a semiedge
+    beg = np.concatenate([c5.beg, [0]])
+    inv = np.concatenate([c5.inv, [c5.m]])
+    with pytest.raises(GraphError, match="kind"):
+        canon.canonical(Graph(5, beg, inv), known_gens=[rot])
+    # the identity is dropped, not checked against anything
+    assert canon.canonical(fresh(c5), known_gens=[np.arange(5)]).cert == \
+        canon.canonical(fresh(c5)).cert
+
+
+def test_dart_classes_cached_and_immutable():
+    g, _ = circulant(6, [1, 3], 1, 1)
+    classes = canon._dart_classes(g)
+    assert canon._dart_classes(g) is classes
+    assert all(isinstance(d, tuple) for d in classes.values())
+    assert sum(len(d) for d in classes.values()) == len(g.edges())
+
+
+# ---------------------------------------------------------------------------
+# connectivity
+# ---------------------------------------------------------------------------
+
+
+def component_size_by_loop(g, start):
+    """The depth-first search that `Graph._component_of` replaced."""
+    seen = {start}
+    stack = [start]
+    ends = g.end()
+    while stack:
+        v = stack.pop()
+        for x in np.nonzero(g.beg == v)[0]:
+            w = int(ends[x])
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen)
+
+
+@st.composite
+def dart_graphs(draw):
+    """Random dart graphs, disconnected ones included: links, loops and
+    semiedges between random vertices."""
+    n = draw(st.integers(1, 14))
+    beg, inv = [], []
+    for u, w, semi in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                              st.integers(0, n - 1),
+                                              st.booleans()), max_size=20)):
+        x = len(beg)
+        if semi:
+            beg.append(u)
+            inv.append(x)
+        else:
+            beg.extend([u, w])
+            inv.extend([x + 1, x])
+    return Graph(n, np.array(beg, dtype=np.int32), np.array(inv, dtype=np.int32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dart_graphs())
+def test_component_of_matches_loop(g):
+    for start in range(g.n):
+        assert g._component_of(start) == component_size_by_loop(g, start)
+    assert g.is_connected() == (component_size_by_loop(g, 0) == g.n)

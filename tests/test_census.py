@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hatd4 import census as CE
@@ -67,6 +69,30 @@ def test_emit_csv_and_graphs(tmp_path, small_census):
     CE.emit_graphs(small_census.graphs, tmp_path / "graphs")
     g1 = read_graph(tmp_path / "graphs" / "graph_001.graph")
     assert g1.n == 42
+
+
+# sha256 of the output of the small_census fixture (catalog {PGL(2,7)},
+# M = 336, up to 8 levels): census.csv, the sorted graphs/*.graph bytes
+# joined, and the graph certificates joined in ID order.  Unlike the
+# two-run comparisons below, these catch an output or certificate change
+# from one commit to the next.
+SMALL_CENSUS_SHA256 = {
+    "census.csv": "101f78158a92d6a4b62957d08e6644e672f23d53a1193eae22d16568386aad58",
+    "graphs": "ba886d105e2c683e939a78ca01d00ef7f31afbed662182fe76ca4f9898ded313",
+    "certificates": "8c9b41be8aac3f15c460880e81cadde4e88bc503cd6d38c1c594743f227dee4f",
+}
+
+
+def test_census_output_pinned(tmp_path, small_census):
+    CE.emit_csv(small_census.records, tmp_path / "census.csv")
+    CE.emit_graphs(small_census.graphs, tmp_path / "graphs")
+    graphs = sorted(f.read_bytes() for f in (tmp_path / "graphs").glob("*.graph"))
+    got = {
+        "census.csv": (tmp_path / "census.csv").read_bytes(),
+        "graphs": b"".join(graphs),
+        "certificates": b"".join(p.certificate() for p in small_census.graphs),
+    }
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == SMALL_CENSUS_SHA256
 
 
 def test_emit_csv_empty(tmp_path):
