@@ -492,10 +492,6 @@ def canonical(g, colors=None, arcs=None, known_gens=()) -> CanonResult:
     return hit
 
 
-def certificate_bytes(g, colors=None, arcs=None, known_gens=()) -> bytes:
-    return canonical(g, colors=colors, arcs=arcs, known_gens=known_gens).cert
-
-
 def isomorphism(g1, g2):
     """Vertex and dart maps of an isomorphism g1 -> g2, or None.
 

@@ -37,8 +37,6 @@ class CensusConfig:
     catalog_dir: Path | str | None = None
     max_level: int = 8
     seed: int = 0
-    primes: list | None = None
-    dim_cap: int | None = None
 
     def catalog_path(self):
         return Path(self.catalog_dir) if self.catalog_dir else packaged_catalog_dir()
@@ -107,8 +105,7 @@ def expand_level(pairs, cfg: CensusConfig, level):
         if pair.graph.n > cfg.max_order // 2:
             continue
         lifted = homology.minimal_admissible_covers(
-            pair.graph, pair.action, cfg.max_order,
-            primes=cfg.primes, dim_override=cfg.dim_cap, seed=cfg.seed)
+            pair.graph, pair.action, cfg.max_order, seed=cfg.seed)
         for lp in lifted:
             if lp.cover.n > cfg.max_order:
                 raise GraphError("cover exceeded the order budget")

@@ -257,7 +257,7 @@ def certificate(g: Graph, known_gens=()) -> GraphCertificate:
         raise GraphError("certificate requires a connected graph")
     from hatd4 import canon
 
-    return GraphCertificate(canon.certificate_bytes(g, known_gens=known_gens))
+    return GraphCertificate(canon.canonical(g, known_gens=known_gens).cert)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,12 @@ PermGroup keeps a lazily built Schreier-Sims chain with Schreier-vector
 transversals; base points are chosen ascending (smallest moved point),
 which makes every derived count reproducible.  A caller that already
 knows the group order can pass it in: the chain build then stops as soon
-as the product of fundamental orbit lengths reaches it, which is both
-exact and very fast for the large-degree lifted groups.
+as the product of fundamental orbit lengths reaches it, which is very
+fast for the large-degree lifted groups.  The early exit trusts that
+order and is exact only when it is right: a value below the true order
+that a partial chain reaches stops the build there (S4's generators with
+``known_order=12`` report order 12).  A value the chain never reaches
+raises ChainOrderMismatch, and PermGroup then rebuilds without it.
 """
 
 from __future__ import annotations
@@ -394,27 +398,58 @@ class PermGroup:
         return PermGroup(self.degree, ch.stabiliser_gens(1), known_order=stab_order)
 
     def elements(self, cap=200_000_000):
-        """All elements as an (order, degree) array, BFS order from identity."""
-        if self.order() * self.degree > cap:
-            raise GroupError("group too large to enumerate (%d elements)" % self.order())
-        rows = [identity_perm(self.degree)]
-        index = {rows[0].tobytes(): 0}
-        frontier = [0]
-        while frontier:
-            fresh = []
-            block = np.stack([rows[i] for i in frontier])
-            for g in self.gens:
-                prods = g[block]
-                for row in prods:
-                    key = row.tobytes()
-                    if key not in index:
-                        index[key] = len(rows)
-                        rows.append(row.copy())
-                        fresh.append(len(rows) - 1)
-            frontier = fresh
-        if len(rows) != self.order():
+        """All elements and a lookup into them: ``(rows, locate)``.
+
+        rows is an (order, degree) array in breadth-first order from the
+        identity: each round multiplies the last round's new rows by every
+        generator, generator by generator, and keeps first occurrences.
+        ``locate(perms)`` maps a stack of permutations (shape ``(..., degree)``)
+        to their row numbers, -1 where a permutation is not in the group.  It
+        keys rows by their images of the chain's base, which determine an
+        element, then compares whole rows, so a permutation that agrees with
+        an element on the base only is not found.
+        """
+        order = self.order()
+        if order * self.degree > cap:
+            raise GroupError("group too large to enumerate (%d elements)" % order)
+        key = _base_key(self.degree, self.chain().base())
+        gens = np.array(self.gens, dtype=DTYPE).reshape(-1, self.degree)
+        frontier = identity_perm(self.degree)[None]
+        blocks, keys = [frontier], key(frontier)
+        while len(frontier):
+            cand = gens[:, frontier].reshape(-1, self.degree)
+            k = key(cand)
+            first = np.sort(np.unique(k, return_index=True)[1])
+            first = first[~np.isin(k[first], keys, assume_unique=True)]
+            frontier = cand[first]
+            blocks.append(frontier)
+            keys = np.concatenate([keys, k[first]])
+        rows = np.concatenate(blocks)
+        if len(rows) != order:
             raise GroupError("element enumeration disagrees with chain order")
-        return np.stack(rows), index
+        by_key = np.argsort(keys)
+        sorted_keys = keys[by_key]
+
+        def locate(perms):
+            perms = np.asarray(perms, dtype=DTYPE)
+            at = np.minimum(np.searchsorted(sorted_keys, key(perms)), order - 1)
+            i = by_key[at]
+            return np.where(np.all(rows[i] == perms, axis=-1), i, -1)
+
+        return rows, locate
+
+
+def _base_key(degree, base):
+    """Map a stack of permutations to one sortable key per permutation, read
+    off its images of base: an int64 in radix degree while degree**len(base)
+    fits, the raw bytes of those images otherwise."""
+    base = np.asarray(base, dtype=np.intp)
+    if degree ** len(base) < 2**63:
+        weights = degree ** np.arange(len(base), dtype=np.int64)
+        return lambda perms: perms[..., base].astype(np.int64) @ weights
+    width = np.dtype(DTYPE).itemsize * len(base)
+    return lambda perms: np.ascontiguousarray(
+        perms[..., base]).view(np.dtype((np.void, width)))[..., 0]
 
 
 def is_semiregular(n: PermGroup, points) -> bool:
@@ -494,8 +529,9 @@ def is_dihedral_8(h: PermGroup) -> bool:
     if _is_abelian(h):
         return False
     els, _ = h.elements()
-    invol = sum(1 for e in els if not is_identity(e) and is_identity(e[e]))
-    return invol > 1
+    ident = np.arange(h.degree, dtype=DTYPE)
+    squares_to_one = np.all(np.take_along_axis(els, els, axis=1) == ident, axis=1)
+    return np.count_nonzero(squares_to_one) > 2   # the identity and 2+ involutions
 
 
 def is_elementary_abelian(h: PermGroup) -> bool:

@@ -105,20 +105,24 @@ def aut_group(g: Graph) -> GraphAction:
     """Full automorphism group acting on vertices + darts."""
     if not g.is_connected():
         raise GraphError("automorphism search requires a connected graph")
-    res = canon.canonical(g)
-    skel_order = PermGroup(g.n, res.aut_gens).order() if res.aut_gens else 1
+    return _lifted_action(g, canon.canonical(g).aut_gens,
+                          canon.local_dart_gens(g), _local_order(g))
+
+
+def _lifted_action(g: Graph, vmaps, local=(), local_order=1) -> GraphAction:
+    """The group generated by the skeleton automorphisms vmaps, each lifted
+    to the darts, and the vertex-fixing dart maps local; local_order is the
+    order of the group that local generates."""
     pairs = []
-    for vmap in res.aut_gens:
+    for vmap in vmaps:
         dmap = canon.extend_vertex_map_to_darts(g, g, vmap)
         if dmap is None:
             raise AssertionError("skeleton automorphism failed to lift to darts")
         pairs.append((vmap, dmap))
-    local = canon.local_dart_gens(g)
     ident = np.arange(g.n, dtype=DTYPE)
-    for dmap in local:
-        pairs.append((ident, dmap))
-    order = skel_order * _local_order(g)
-    return GraphAction.from_vertex_dart(g, pairs, known_order=order)
+    pairs += [(ident, dmap) for dmap in local]
+    skel_order = PermGroup(g.n, vmaps).order() if vmaps else 1
+    return GraphAction.from_vertex_dart(g, pairs, known_order=skel_order * local_order)
 
 
 def _local_order(g: Graph):
@@ -180,13 +184,7 @@ def digraph_aut(dig: Digraph, enumeration_cap=1_000_000) -> PermGroup:
         raise GraphError("digraph automorphisms require a connected graph")
     prof = structural_profile(g)
     if prof.simple:
-        res = canon.canonical(g, arcs=dig.arcs)
-        pairs = []
-        for vmap in res.aut_gens:
-            dmap = canon.extend_vertex_map_to_darts(g, g, vmap)
-            pairs.append((vmap, dmap))
-        order = PermGroup(g.n, res.aut_gens).order() if res.aut_gens else 1
-        action = GraphAction.from_vertex_dart(g, pairs, known_order=order)
+        action = _lifted_action(g, canon.canonical(g, arcs=dig.arcs).aut_gens)
         for dmap in action.dart_gens():
             if not np.array_equal(np.sort(np.nonzero(dig.arcs)[0]),
                                   np.sort(dmap[dig.arcs])):
@@ -196,14 +194,8 @@ def digraph_aut(dig: Digraph, enumeration_cap=1_000_000) -> PermGroup:
     if full.group.order() > enumeration_cap:
         raise GraphError("non-simple digraph automorphism search beyond cap")
     els, _ = full.group.elements()
-    n = g.n
-    keep = []
-    arc_ids = np.nonzero(dig.arcs)[0] + n
-    arc_set = set(int(a) for a in arc_ids)
-    for e in els:
-        if all(int(e[a]) in arc_set for a in arc_ids):
-            keep.append(e)
-    return PermGroup(g.n + g.m, keep)
+    keeps_arcs = dig.arcs[els[:, np.nonzero(dig.arcs)[0] + g.n] - g.n]
+    return PermGroup(g.n + g.m, els[np.all(keeps_arcs, axis=1)])
 
 
 def is_relevant_pair(g: Graph, action: GraphAction) -> bool:

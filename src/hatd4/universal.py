@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from hatd4.canon import _orbit_labels
 from hatd4.graphs import DTYPE, Graph, GraphError
 from hatd4.perms import PermGroup, identity_perm, inverse
 from hatd4.symmetry import GraphAction
@@ -82,29 +83,17 @@ def epimorphism_search(group: PermGroup) -> list[EpiWitness]:
     order = group.order()
     if order % 8:
         return []
-    els, index = group.elements()
+    els, locate = group.elements()
     n, deg = els.shape
     arange = np.arange(deg, dtype=els.dtype)
     sq = np.take_along_axis(els, els, axis=1)
     is_ident = np.all(els == arange, axis=1)
     invol = np.nonzero(np.all(sq == arange, axis=1) & ~is_ident)[0]
 
-    # involution conjugacy classes under generator conjugation
-    class_of = {int(i): int(i) for i in invol}
-    changed = True
-    gens_inv = [(g, inverse(g)) for g in group.gens]
-    while changed:
-        changed = False
-        for i in list(class_of):
-            root = _find(class_of, i)
-            e = els[i]
-            for g, gi in gens_inv:
-                conj = g[e[gi]]
-                j = _find(class_of, index[conj.tobytes()])
-                if j != root:
-                    class_of[max(j, root)] = min(j, root)
-                    changed = True
-    reps = sorted({_find(class_of, int(i)) for i in invol})
+    # involution classes: orbits of conjugation by the generators on element
+    # indices, each represented by its smallest index
+    conj_perms = [locate(g[els[:, inverse(g)]]) for g in group.gens]
+    reps = np.unique(_orbit_labels(n, conj_perms)[invol])
 
     ginv_all = np.argsort(els, axis=1)
     witnesses = []
@@ -128,27 +117,17 @@ def epimorphism_search(group: PermGroup) -> list[EpiWitness]:
         cent_els = els[cent]
         cent_inv = np.argsort(cent_els, axis=1)
 
-        seen_orbits = set()
+        seen = np.zeros(n, dtype=bool)
         for gidx in cand:
-            if int(gidx) in seen_orbits:
+            if seen[gidx]:
                 continue
             g = els[gidx]
             w = EpiWitness(group, a.copy(), g.copy())
             if w.check():
                 witnesses.append(w)
             # mark the whole conjugation orbit of g under the centraliser
-            t = g[cent_inv]
-            conj = np.take_along_axis(cent_els, t, axis=1)
-            for row in conj:
-                seen_orbits.add(int(index[row.tobytes()]))
+            seen[locate(np.take_along_axis(cent_els, g[cent_inv], axis=1))] = True
     return witnesses
-
-
-def _find(parent, i):
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +151,20 @@ def coset_graph(group: PermGroup, stab: PermGroup, g):
     if conn.order() != group.order():
         raise SearchError("<H, g> is a proper subgroup: coset graph disconnected")
 
-    els, index = group.elements()
-    n_el = len(els)
-    stab_els, _ = stab.elements()
+    els, locate = group.elements()
+    stab_els, in_stab = stab.elements()
     gi = inverse(g)
 
-    in_stab = {h.tobytes() for h in stab_els}
-    d0 = [h for h in stab_els if gi[h[g]].tobytes() in in_stab]      # H cap H^(g^-1)
-    d1 = [h for h in stab_els if g[h[gi]].tobytes() in in_stab]      # H cap H^g
+    d0 = stab_els[in_stab(gi[stab_els[:, g]]) >= 0]      # H cap H^(g^-1)
+    d1 = stab_els[in_stab(g[stab_els[:, gi]]) >= 0]      # H cap H^g
     if len(d0) != 4 or len(d1) != 4:
         raise SearchError("arc stabiliser has order %d, not 4 (valence != 4)" % len(d0))
 
     def coset_ids(sub_els):
         # right coset of x keyed by the minimal element index over {s*x}
-        key = np.full(n_el, n_el, dtype=np.int64)
-        for s in sub_els:
-            for i in range(n_el):
-                j = index[els[i][s].tobytes()]
-                if j < key[i]:
-                    key[i] = j
+        key = np.min([locate(els[:, s]) for s in sub_els], axis=0)
         reps, ids = np.unique(key, return_inverse=True)
-        return ids.astype(np.int64), reps
+        return ids, reps
 
     vid, vreps = coset_ids(stab_els)
     did0, d0reps = coset_ids(d0)
@@ -202,11 +174,8 @@ def coset_graph(group: PermGroup, stab: PermGroup, g):
     assert m0 == 2 * n and len(d1reps) == 2 * n
 
     # index of g*x and g^-1*x for every element x
-    g_right = np.empty(n_el, dtype=np.int64)
-    gi_right = np.empty(n_el, dtype=np.int64)
-    for i in range(n_el):
-        g_right[i] = index[els[i][g].tobytes()]       # the element g*x
-        gi_right[i] = index[els[i][gi].tobytes()]
+    g_right = locate(els[:, g])
+    gi_right = locate(els[:, gi])
 
     beg = np.empty(4 * n, dtype=DTYPE)
     inv = np.empty(4 * n, dtype=DTYPE)
@@ -221,9 +190,7 @@ def coset_graph(group: PermGroup, stab: PermGroup, g):
     # right multiplication action, generators of G plus stabiliser seeds
     action_gens = []
     for k in list(group.gens) + list(stab.gens):
-        rk = np.empty(n_el, dtype=np.int64)
-        for i in range(n_el):
-            rk[i] = index[k[els[i]].tobytes()]        # the element x*k
+        rk = locate(k[els])                           # the element x*k
         perm = np.empty(n + 4 * n, dtype=DTYPE)
         perm[vid[vreps]] = vid[rk[vreps]]
         perm[n + did0[d0reps]] = n + did0[rk[d0reps]]

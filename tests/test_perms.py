@@ -66,14 +66,51 @@ def test_membership(s4):
 
 def test_membership_vs_enumeration():
     g = S(6, (0, 1, 2, 3, 4, 5), (0, 1))
-    els, index = g.elements()
+    els, _ = g.elements()
     rng = np.random.default_rng(3)
     sub = S(6, (0, 1, 2), (3, 4, 5))
-    _, sub_index = sub.elements()
+    _, sub_locate = sub.elements()
     for _ in range(40):
         w = els[int(rng.integers(0, len(els)))]
         assert g.contains(w)
-        assert sub.contains(w) == (w.tobytes() in sub_index)
+        assert sub.contains(w) == (sub_locate(w) >= 0)
+
+
+def _bfs_reference(g):
+    """Breadth-first enumeration with a dict of row bytes (test oracle)."""
+    rows = [identity_perm(g.degree)]
+    seen = {rows[0].tobytes()}
+    frontier = rows[:]
+    while frontier:
+        fresh = []
+        for h in g.gens:
+            for x in frontier:
+                y = h[x]
+                if y.tobytes() not in seen:
+                    seen.add(y.tobytes())
+                    fresh.append(y)
+        rows += fresh
+        frontier = fresh
+    return np.stack(rows)
+
+
+def test_locate_round_trips_and_rejects_base_lookalikes(catalog):
+    # 14 disjoint transpositions: 28**14 overflows int64, so rows are keyed
+    # by the bytes of their base images instead
+    wide = PermGroup(28, [from_cycles(28, [(2 * i, 2 * i + 1)]) for i in range(14)])
+    for g in (wide, catalog["psl_2_17"]):
+        els, locate = g.elements()
+        assert np.array_equal(els, _bfs_reference(g))
+        assert np.array_equal(locate(els), np.arange(len(els)))
+        assert np.array_equal(locate(els[None, ::-1]), np.arange(len(els))[None, ::-1])
+        # same base images as an element, swapped images off the base
+        base = g.chain().base()
+        i, j = [x for x in range(g.degree) if x not in base][:2]
+        fakes = els[:50].copy()
+        fakes[:, [i, j]] = fakes[:, [j, i]]
+        assert not any(g.contains(f) for f in fakes)
+        assert np.all(locate(fakes) == -1)
+    assert wide.elements()[1](from_cycles(28, [(0, 2)])) == -1
 
 
 def test_closure_membership_random_products(s4):
@@ -205,7 +242,7 @@ def test_catalog_orders(catalog):
 def test_membership_brute_force_midsize(catalog):
     """Membership by chain sifting agrees with closure enumeration (order 2448)."""
     g = catalog["psl_2_17"]
-    els, index = g.elements()
+    els, locate = g.elements()
     assert len(els) == 2448
     rng = np.random.default_rng(9)
     for _ in range(30):
@@ -214,4 +251,4 @@ def test_membership_brute_force_midsize(catalog):
     # shuffle images to leave the group
     outside = els[0].copy()
     outside[[0, 1]] = outside[[1, 0]]
-    assert g.contains(outside) == (outside.tobytes() in index)
+    assert g.contains(outside) == (locate(outside) >= 0)
