@@ -82,7 +82,7 @@ def cmd_covers(args):
     if not symmetry.is_relevant_pair(g, act):
         raise GraphError("input is not a relevant pair (tetravalent half-arc-"
                          "transitive with dihedral vertex-stabiliser of order 8)")
-    primes = [args.prime] if args.prime else None
+    primes = None if args.prime is None else [args.prime]
     lifted = homology.minimal_admissible_covers(
         g, act, args.max_order, primes=primes, dim_override=args.dim,
         seed=args.seed)

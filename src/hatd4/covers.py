@@ -8,7 +8,8 @@ inverse-dart antisymmetry; cover vertices and darts are indexed
 lexicographically by (base index, vector in little-endian base-p order).
 `fibre_index` is the one place that encoding is computed: the derived
 cover, the translations and the lifted automorphisms all map fibres
-through it.
+through it.  The tree a voltage must vanish on is the breadth-first tree
+that `Graph.spanning_tree` builds once per graph and caches.
 """
 
 from __future__ import annotations
@@ -100,16 +101,9 @@ def is_covering(proj: Projection) -> bool:
     s, t = proj.source, proj.target
     if not (s.is_connected() and t.is_connected()):
         raise CoverError("covering test requires connected graphs")
-    val_t = t.valences()
-    indptr, darts = s.darts_by_vertex()
-    for v in range(s.n):
-        mine = darts[indptr[v] : indptr[v + 1]]
-        imgs = proj.dart_map[mine]
-        if len(np.unique(imgs)) != len(mine):
-            return False
-        if len(mine) != val_t[proj.vertex_map[v]]:
-            return False
-    return True
+    at_vertex = s.beg.astype(np.int64) * t.m + proj.dart_map
+    return (len(np.unique(at_vertex)) == s.m
+            and np.array_equal(s.valences(), t.valences()[proj.vertex_map]))
 
 
 @dataclass(frozen=True)
@@ -189,41 +183,21 @@ class VoltageAssignment:
             raise CoverError("voltages must negate along inverse darts")
         object.__setattr__(self, "volt", v)
 
-    def cotree_span_rank(self, tree_mask=None):
-        if tree_mask is None:
-            tree_mask = spanning_tree_mask(self.base)
-        cot = self.volt[~tree_mask]
+    def cotree_span_rank(self):
+        cot = self.volt[~spanning_tree_mask(self.base)]
         return gfp.rank(cot, self.p) if len(cot) else 0
 
 
 def spanning_tree(g: Graph):
-    """BFS tree from vertex 0, darts explored in id order.
-
-    Returns (parent_dart, order) where parent_dart[v] is the dart leading
-    from the parent of v to v (-1 at the root) and order is the BFS order.
-    """
+    """The cached breadth-first tree `Graph.spanning_tree` of a connected
+    graph: (parent_dart, layers)."""
     if not g.is_connected():
         raise CoverError("spanning tree requires a connected graph")
-    parent_dart = np.full(g.n, -1, dtype=DTYPE)
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    order = [0]
-    ends = g.end()
-    indptr, darts = g.darts_by_vertex()
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for x in darts[indptr[v] : indptr[v + 1]]:
-            w = int(ends[x])
-            if not seen[w]:
-                seen[w] = True
-                parent_dart[w] = x
-                order.append(w)
-    return parent_dart, np.array(order, dtype=DTYPE)
+    return g.spanning_tree()
 
 
 def spanning_tree_mask(g: Graph):
+    """Boolean mask of the tree darts (both darts of each tree edge)."""
     parent_dart, _ = spanning_tree(g)
     mask = np.zeros(g.m, dtype=bool)
     used = parent_dart[parent_dart >= 0]
@@ -265,8 +239,7 @@ def derived_cover(zeta: VoltageAssignment):
     g = zeta.base
     p, d = zeta.p, zeta.d
     q = p**d
-    tree_mask = spanning_tree_mask(g)
-    span = zeta.cotree_span_rank(tree_mask)
+    span = zeta.cotree_span_rank()
     if span != d:
         raise CoverError(
             "voltages span only a %d-dimensional subspace of GF(%d)^%d; cover disconnected"

@@ -114,24 +114,38 @@ class Graph:
         return np.nonzero(self.inv == np.arange(self.m, dtype=DTYPE))[0]
 
     def is_connected(self):
-        key = "connected"
-        if key not in self._cache:
-            self._cache[key] = self._component_of(0) == self.n
-        return self._cache[key]
+        _, layers = self.spanning_tree()
+        return 1 + sum(len(vs) for vs, _ in layers) == self.n
 
-    def _component_of(self, start):
-        """Number of vertices reachable from start: a breadth-first search
-        with one gather of the frontier's darts per layer."""
-        seen = np.zeros(self.n, dtype=bool)
-        seen[start] = True
-        frontier = np.array([start], dtype=np.int64)
-        ends = self.end()
-        indptr, darts = self.darts_by_vertex()
-        while frontier.size:
-            nbrs = ends[darts[csr_rows(indptr, frontier)]]
-            frontier = np.unique(nbrs[~seen[nbrs]])
-            seen[frontier] = True
-        return int(np.count_nonzero(seen))
+    def spanning_tree(self):
+        """Breadth-first tree of vertex 0's component, darts explored in id
+        order, cached: ``(parent_dart, layers)``.  parent_dart[v] is the dart
+        from v's parent to v (-1 at the root and off the component); layers
+        holds one (vertices, parent darts) pair per distance 1, 2, ..., in
+        order of discovery, which is the order of the vertex-by-vertex search.
+        """
+        key = "tree"
+        if key not in self._cache:
+            parent = np.full(self.n, -1, dtype=DTYPE)
+            seen = np.zeros(self.n, dtype=bool)
+            seen[0] = True
+            ends = self.end()
+            indptr, darts = self.darts_by_vertex()
+            layers = []
+            frontier = np.zeros(1, dtype=DTYPE)
+            while True:
+                out = darts[csr_rows(indptr, frontier)]
+                out = out[~seen[ends[out]]]
+                _, first = np.unique(ends[out], return_index=True)
+                via = out[np.sort(first)]
+                if not len(via):
+                    break
+                frontier = ends[via]
+                seen[frontier] = True
+                parent[frontier] = via
+                layers.append((frontier, via))
+            self._cache[key] = (parent, tuple(layers))
+        return self._cache[key]
 
 
 def csr_rows(indptr, rows):
@@ -219,23 +233,13 @@ def four_semiedge_vertex():
 
 
 def structural_profile(g: Graph) -> StructuralProfile:
-    darts = np.arange(g.m, dtype=DTYPE)
-    semi = int(np.count_nonzero(g.inv == darts))
+    semi = len(g.semiedge_darts())
     pos = g.edges()
-    ends = g.end()
-    loops = 0
-    pair_count = {}
-    for x in pos:
-        y = int(g.inv[x])
-        if y == x:
-            continue
-        u, w = int(g.beg[x]), int(ends[x])
-        if u == w:
-            loops += 1
-        else:
-            key = (min(u, w), max(u, w))
-            pair_count[key] = pair_count.get(key, 0) + 1
-    parallel = sum(1 for c in pair_count.values() if c >= 2)
+    links = pos[g.inv[pos] != pos]
+    u, w = g.beg[links], g.end()[links]
+    loops = int(np.count_nonzero(u == w))
+    pairs = np.stack([np.minimum(u, w), np.maximum(u, w)])[:, u != w]
+    parallel = int(np.count_nonzero(np.unique(pairs, axis=1, return_counts=True)[1] >= 2))
     simple = semi == 0 and loops == 0 and parallel == 0
     return StructuralProfile(
         connected=g.is_connected(),

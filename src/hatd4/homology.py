@@ -1,16 +1,18 @@
 """Group actions on first homology over GF(p) and minimal admissible covers.
 
 The cycle space of a connected semiedge-free graph has dimension
-beta = |E| - |V| + 1; fundamental cycles of the BFS spanning tree give the
-basis, indexed by cotree edges in positive-dart order.  Automorphisms act
-on cycle classes row-wise.  Maximal invariant subspaces of codimension d
-correspond to minimal admissible covers of degree p^d.  Each is found as
-its annihilator, a d x beta dual basis r: over GF(2) with d = 1 from the
-bit-packed fixed space, otherwise from the dense module.  Every cover then
-takes one route: `_quotient_matrices` checks invariance and gives the
-induced d x d matrices, `voltages_from_dual` projects the fundamental
-cycles to voltages, and `lift_group` builds the derived cover and lifts the
-acting group by vertex potentials along the tree.
+beta = |E| - |V| + 1; fundamental cycles of the graph's cached
+breadth-first tree (`Graph.spanning_tree`) give the basis, indexed by
+cotree edges in positive-dart order.  Automorphisms act on cycle classes
+row-wise; the generator matrices and the lifts solve vertex potentials
+along the tree one layer at a time.  Maximal invariant subspaces of
+codimension d correspond to minimal admissible covers of degree p^d.
+Each is found as its annihilator, a d x beta dual basis r: over GF(2)
+with d = 1 from the bit-packed fixed space, otherwise from the dense
+module.  Every cover then takes one route: `_quotient_matrices` checks
+invariance and gives the induced d x d matrices, `voltages_from_dual`
+projects the fundamental cycles to voltages, and `lift_group` builds the
+derived cover and lifts the acting group by those potentials.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from hatd4 import gfp, meataxe
 from hatd4.covers import (CoverError, VoltageAssignment, derived_cover,
                           fibre_index, spanning_tree, spanning_tree_mask,
                           translation_action)
-from hatd4.graphs import DTYPE, Graph, GraphError
+from hatd4.graphs import Graph, GraphError
 from hatd4.perms import PermGroup, perm_order
 from hatd4.symmetry import GraphAction, combine
 
@@ -51,47 +53,41 @@ class HomologyModule:
 
 
 def _cycle_supports(g: Graph):
-    """(tree data, cotree positive darts, phi index/sign arrays).
+    """(tree layers, cotree positive darts, phi index/sign arrays).
 
     phi maps a dart to its fundamental-cycle coordinate: the basis index of
     its cotree edge with sign +1 on the positive dart, -1 on the inverse,
     and -1/index 0 for tree darts (index array holds -1 there).
     """
-    parent_dart, order = spanning_tree(g)
-    tree_mask = spanning_tree_mask(g)
+    _, layers = spanning_tree(g)
     pos = g.edges()
-    cotree = np.array([x for x in pos if not tree_mask[x]], dtype=DTYPE)
+    cotree = pos[~spanning_tree_mask(g)[pos]]
+    basis = np.arange(len(cotree))
     idx = np.full(g.m, -1, dtype=np.int64)
     sgn = np.zeros(g.m, dtype=np.int64)
-    for j, c in enumerate(map(int, cotree)):
-        idx[c] = j
-        sgn[c] = 1
-        idx[g.inv[c]] = j
-        sgn[g.inv[c]] = -1
+    idx[cotree], sgn[cotree] = basis, 1
     # semiedge positive darts are their own inverse; excluded by precondition
-    return parent_dart, order, cotree, idx, sgn
+    idx[g.inv[cotree]], sgn[g.inv[cotree]] = basis, -1
+    return layers, cotree, idx, sgn
 
 
-def _generator_matrix_int(g: Graph, dp, parent_dart, order, cotree, idx, sgn):
-    """Integer matrix of the induced homology action of one automorphism."""
-    beta = len(cotree)
-    psi = np.zeros((g.n, beta), dtype=np.int64)
-    ends = g.end()
-    for v in map(int, order[1:]):
-        t = int(parent_dart[v])
-        u = int(g.beg[t])
-        img = int(dp[t])
-        psi[v] = psi[u]
-        if idx[img] >= 0:
-            psi[v, idx[img]] += sgn[img]
-    mat = np.zeros((beta, beta), dtype=np.int64)
-    for j, c in enumerate(map(int, cotree)):
-        img = int(dp[c])
-        row = psi[int(g.beg[c])] - psi[int(ends[c])]
-        if idx[img] >= 0:
-            row = row.copy()
-            row[idx[img]] += sgn[img]
-        mat[j] = row
+def _generator_matrix_int(g: Graph, dp, layers, cotree, idx, sgn):
+    """Integer matrix of the induced homology action of one automorphism.
+
+    The vertex potential psi(v) is the cycle coordinate of the image of the
+    tree path to v, set one tree layer at a time; the row of a cotree dart
+    c is psi(beg c) - psi(end c) plus the coordinate of its image.
+    """
+    psi = np.zeros((g.n, len(cotree)), dtype=np.int64)
+    for vs, ts in layers:
+        img = dp[ts]
+        psi[vs] = psi[g.beg[ts]]
+        hit = idx[img] >= 0
+        psi[vs[hit], idx[img[hit]]] += sgn[img[hit]]
+    mat = psi[g.beg[cotree]] - psi[g.end()[cotree]]
+    img = dp[cotree]
+    hit = idx[img] >= 0
+    mat[np.nonzero(hit)[0], idx[img[hit]]] += sgn[img[hit]]
     return mat
 
 
@@ -104,11 +100,9 @@ def _integer_rep(g: Graph, action: GraphAction):
         raise GraphError("homology needs a semiedge-free graph")
     if not g.is_connected():
         raise GraphError("homology needs a connected graph")
-    parent_dart, order, cotree, idx, sgn = _cycle_supports(g)
-    mats = []
-    for perm in action.group.gens:
-        dp = perm[g.n :] - g.n
-        mats.append(_generator_matrix_int(g, dp, parent_dart, order, cotree, idx, sgn))
+    layers, cotree, idx, sgn = _cycle_supports(g)
+    mats = [_generator_matrix_int(g, perm[g.n :] - g.n, layers, cotree, idx, sgn)
+            for perm in action.group.gens]
     orders = [perm_order(perm) for perm in action.group.gens]
     if not mats:
         mats = [np.eye(len(cotree), dtype=np.int64)]
@@ -293,7 +287,7 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
     cover, proj = derived_cover(zeta)
     q = p**d
     ends = g.end()
-    tree_parent, tree_order = spanning_tree(g)
+    _, layers = spanning_tree(g)
     lifted = []
     stab_lifts = []
     for gi, perm in enumerate(action.group.gens):
@@ -303,9 +297,8 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
         # delta(x) = zeta(x^g) - zeta(x) Q  must be a tree potential difference
         delta = (zeta.volt[dp] - gfp.matmul(zeta.volt, qmat, p)) % p
         s = np.zeros((g.n, d), dtype=np.int64)
-        for v in map(int, tree_order[1:]):
-            t = int(tree_parent[v])
-            s[v] = (s[int(g.beg[t])] + delta[t]) % p
+        for vs, ts in layers:
+            s[vs] = (s[g.beg[ts]] + delta[ts]) % p
         if np.any((s[ends] - s[g.beg] - delta) % p):
             raise CoverError("generator %d does not lift (non-admissible voltage)" % gi)
         s = (s - s[anchor]) % p
@@ -335,38 +328,35 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
 # ---------------------------------------------------------------------------
 
 
-def _packed_generator_matrix(g, dp, parent_dart, order, cotree, idx):
-    """One generator's homology matrix over GF(2) as bit-packed rows."""
-    beta = len(cotree)
-    nwords = (beta + 63) // 64
+def _packed_generator_matrix(g, dp, layers, cotree, idx):
+    """One generator's homology matrix over GF(2) as bit-packed rows, built
+    as `_generator_matrix_int` builds the dense one."""
+    nwords = (len(cotree) + 63) // 64
     psi = np.zeros((g.n, nwords), dtype=np.uint64)
-    ends = g.end()
-    for v in map(int, order[1:]):
-        t = int(parent_dart[v])
-        psi[v] = psi[int(g.beg[t])]
-        j = int(idx[int(dp[t])])
-        if j >= 0:
-            psi[v, j >> 6] ^= np.uint64(1) << np.uint64(j & 63)
-    mat = np.zeros((beta, nwords), dtype=np.uint64)
-    for jj, c in enumerate(map(int, cotree)):
-        row = psi[int(g.beg[c])] ^ psi[int(ends[c])]
-        j = int(idx[int(dp[c])])
-        if j >= 0:
-            row = row.copy()
-            row[j >> 6] ^= np.uint64(1) << np.uint64(j & 63)
-        mat[jj] = row
+
+    def flip(target, rows, darts):
+        j = idx[dp[darts]]
+        hit = j >= 0
+        j = j[hit]
+        target[rows[hit], j >> 6] ^= np.uint64(1) << (j & 63).astype(np.uint64)
+
+    for vs, ts in layers:
+        psi[vs] = psi[g.beg[ts]]
+        flip(psi, vs, ts)
+    mat = psi[g.beg[cotree]] ^ psi[g.end()[cotree]]
+    flip(mat, np.arange(len(cotree)), cotree)
     return mat
 
 
 def _gf2_fixed_lines(g: Graph, action: GraphAction):
     """Dual lines over GF(2) without dense matrices: the common fixed space
     of the transposed action is the nullspace of the stacked (A - I)."""
-    parent_dart, order, cotree, idx, _sgn = _cycle_supports(g)
+    layers, cotree, idx, _sgn = _cycle_supports(g)
     beta = len(cotree)
     blocks = []
     for perm in action.group.gens:
         dp = perm[g.n :] - g.n
-        mat = _packed_generator_matrix(g, dp, parent_dart, order, cotree, idx)
+        mat = _packed_generator_matrix(g, dp, layers, cotree, idx)
         for j in range(beta):  # flip the diagonal: rows of A - I
             mat[j, j >> 6] ^= np.uint64(1) << np.uint64(j & 63)
         blocks.append(mat)
@@ -383,21 +373,42 @@ def _gf2_fixed_lines(g: Graph, action: GraphAction):
 # ---------------------------------------------------------------------------
 
 
-def _primes_upto(n):
-    sieve = np.ones(max(n + 1, 2), dtype=bool)
-    sieve[:2] = False
-    for k in range(2, int(n**0.5) + 1):
-        if sieve[k]:
-            sieve[k * k :: k] = False
-    return [int(x) for x in np.nonzero(sieve)[0]]
+def _is_prime(n):
+    """Miller-Rabin to the first twelve prime bases, exact below 3.1e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def cover_budget(n0: int, max_order: int, primes=None, dim_override=None):
-    """(p, dmax) pairs with p^d * n0 <= max_order for some d >= 1."""
+    """(p, dmax) pairs with p^d * n0 <= max_order for some d >= 1.
+
+    An explicit prime list and dim_override are checked first: CoverError
+    for an entry that is not prime or an override below 1.
+    """
+    bad = [p for p in primes or () if not _is_prime(p)]
+    if bad:
+        raise CoverError("%d is not a prime" % bad[0])
+    if dim_override is not None and dim_override < 1:
+        raise CoverError("cover dimension must be at least 1, got %d" % dim_override)
     ratio = max_order // n0
     if ratio < 2:
         return []
-    plist = primes if primes is not None else _primes_upto(ratio)
+    plist = primes if primes is not None else filter(_is_prime, range(ratio + 1))
     out = []
     for p in plist:
         if p > ratio:

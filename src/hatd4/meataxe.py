@@ -22,6 +22,9 @@ import numpy as np
 
 from hatd4 import gfp
 
+MAX_TRIES = 200  # algebra elements is_irreducible tries before giving up
+ENUM_CAP = 2_000_000  # most hom-space points minimal_submodules enumerates
+
 
 class MeatAxeError(RuntimeError):
     pass
@@ -74,7 +77,7 @@ def _algebra_element(gens, p, rng, attempt):
     return out
 
 
-def is_irreducible(gens, p, rng=None, max_tries=200):
+def is_irreducible(gens, p, rng=None):
     """(True, None) or (False, rref basis of a proper nonzero submodule)."""
     n = module_dim(gens)
     if n == 0:
@@ -85,7 +88,7 @@ def is_irreducible(gens, p, rng=None, max_tries=200):
         rng = np.random.default_rng(0)
     gens_t = [m.T.copy() for m in gens]
     stacked, stacked_t = _stack_generators(gens, p), _stack_generators(gens_t, p)
-    for attempt in range(max_tries):
+    for attempt in range(MAX_TRIES):
         theta = _algebra_element(gens, p, rng, attempt)
         minpoly = gfp.minimal_polynomial(theta, p)
         if gfp.poly_deg(minpoly) < 1:
@@ -110,7 +113,7 @@ def is_irreducible(gens, p, rng=None, max_tries=200):
                     ann = gfp.nullspace(wt.matrix(), p)
                     return False, ann
                 return True, None
-    raise MeatAxeError("irreducibility test inconclusive after %d tries" % max_tries)
+    raise MeatAxeError("irreducibility test inconclusive after %d tries" % MAX_TRIES)
 
 
 def sub_action(basis, gens, p):
@@ -187,7 +190,7 @@ def modules_isomorphic(a_gens, b_gens, p):
     return len(hom_space(a_gens, b_gens, p)) > 0
 
 
-def minimal_submodules(gens, p, dmax, seed=0, enum_cap=2_000_000):
+def minimal_submodules(gens, p, dmax, seed=0):
     """All minimal submodules of dimension <= dmax, as rref bases.
 
     Complete: candidates are the composition factors (every socle constituent
@@ -212,7 +215,7 @@ def minimal_submodules(gens, p, dmax, seed=0, enum_cap=2_000_000):
         if r == 0:
             continue
         count = (p**r - 1) // (p - 1)
-        if count > enum_cap:
+        if count > ENUM_CAP:
             raise MeatAxeError("hom-space enumeration too large (%d points)" % count)
         for rr in span_points(homs, p):
             if len(rr) != e:

@@ -23,6 +23,8 @@ import numpy as np
 from hatd4.graphs import MAX_ID, parse_ints
 
 DTYPE = np.int32
+ENUMERATION_CAP = 200_000_000  # most entries (order x degree) elements() lists
+MAX_DERIVED_LENGTH = 64  # most derived-series steps is_solvable takes
 
 
 class GroupError(ValueError):
@@ -51,12 +53,6 @@ def inverse(p):
     inv = np.empty_like(p)
     inv[p] = np.arange(len(p), dtype=p.dtype)
     return inv
-
-
-def conjugate(g, h):
-    """h^-1 g h."""
-    hi = inverse(h)
-    return h[g[hi]]
 
 
 def perm_order(p):
@@ -302,8 +298,8 @@ class StabChain:
 class PermGroup:
     """Finite permutation group on 0..degree-1 given by generators."""
 
-    __slots__ = ("degree", "gens", "name", "_known_order", "_chains",
-                 "base_hint")
+    __slots__ = ("degree", "gens", "name", "_known_order", "_chain",
+                 "_elements", "base_hint")
 
     def __init__(self, degree, gens, name=None, known_order=None, base_hint=()):
         self.degree = int(degree)
@@ -321,24 +317,24 @@ class PermGroup:
         self.gens = cleaned
         self.name = name
         self._known_order = known_order
-        self._chains = {}
+        self._chain = None
+        self._elements = None
 
     def __repr__(self):
         label = self.name or "PermGroup"
         return "<%s degree=%d gens=%d>" % (label, self.degree, len(self.gens))
 
-    def chain(self, base_hint=None):
-        key = self.base_hint if base_hint is None else tuple(base_hint)
-        ch = self._chains.get(key)
-        if ch is None:
+    def chain(self):
+        """The stabiliser chain, built once, with base points tried from
+        base_hint first."""
+        if self._chain is None:
             try:
-                ch = StabChain(self.degree, self.gens, base_hint=key,
-                               known_order=self._known_order)
+                self._chain = StabChain(self.degree, self.gens, self.base_hint,
+                                        known_order=self._known_order)
             except ChainOrderMismatch:
-                ch = StabChain(self.degree, self.gens, base_hint=key)
-            self._chains[key] = ch
-            self._known_order = ch.order()
-        return ch
+                self._chain = StabChain(self.degree, self.gens, self.base_hint)
+            self._known_order = self._chain.order()
+        return self._chain
 
     def order(self):
         return self.chain().order()
@@ -397,8 +393,9 @@ class PermGroup:
         stab_order = order // len(ch.levels[0].orbit)
         return PermGroup(self.degree, ch.stabiliser_gens(1), known_order=stab_order)
 
-    def elements(self, cap=200_000_000):
-        """All elements and a lookup into them: ``(rows, locate)``.
+    def elements(self):
+        """All elements and a lookup into them: ``(rows, locate)``, enumerated
+        once per group (rows is read-only).
 
         rows is an (order, degree) array in breadth-first order from the
         identity: each round multiplies the last round's new rows by every
@@ -407,10 +404,13 @@ class PermGroup:
         to their row numbers, -1 where a permutation is not in the group.  It
         keys rows by their images of the chain's base, which determine an
         element, then compares whole rows, so a permutation that agrees with
-        an element on the base only is not found.
+        an element on the base only is not found.  A group with more than
+        ENUMERATION_CAP entries (order times degree) raises GroupError.
         """
+        if self._elements is not None:
+            return self._elements
         order = self.order()
-        if order * self.degree > cap:
+        if order * self.degree > ENUMERATION_CAP:
             raise GroupError("group too large to enumerate (%d elements)" % order)
         key = _base_key(self.degree, self.chain().base())
         gens = np.array(self.gens, dtype=DTYPE).reshape(-1, self.degree)
@@ -425,6 +425,7 @@ class PermGroup:
             blocks.append(frontier)
             keys = np.concatenate([keys, k[first]])
         rows = np.concatenate(blocks)
+        rows.setflags(write=False)
         if len(rows) != order:
             raise GroupError("element enumeration disagrees with chain order")
         by_key = np.argsort(keys)
@@ -436,7 +437,8 @@ class PermGroup:
             i = by_key[at]
             return np.where(np.all(rows[i] == perms, axis=-1), i, -1)
 
-        return rows, locate
+        self._elements = rows, locate
+        return self._elements
 
 
 def _base_key(degree, base):
@@ -508,10 +510,10 @@ def derived_subgroup(g: PermGroup) -> PermGroup:
     return normal_closure(g, comms)
 
 
-def is_solvable(g: PermGroup, max_depth=64) -> bool:
+def is_solvable(g: PermGroup) -> bool:
     h = g
     order = h.order()
-    for _ in range(max_depth):
+    for _ in range(MAX_DERIVED_LENGTH):
         if order == 1:
             return True
         d = derived_subgroup(h)
@@ -519,7 +521,8 @@ def is_solvable(g: PermGroup, max_depth=64) -> bool:
         if d_order == order:
             return False
         h, order = d, d_order
-    raise GroupError("derived series did not terminate within %d steps" % max_depth)
+    raise GroupError("derived series did not terminate within %d steps"
+                     % MAX_DERIVED_LENGTH)
 
 
 def is_dihedral_8(h: PermGroup) -> bool:

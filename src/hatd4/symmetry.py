@@ -20,6 +20,7 @@ from hatd4.perms import DTYPE, PermGroup, is_dihedral_8
 ARC_TRANSITIVE = "ArcTransitive"
 HALF_ARC_TRANSITIVE = "HalfArcTransitive"
 OTHER = "Other"
+DIGRAPH_ENUMERATION_CAP = 1_000_000  # largest Aut(g) digraph_aut enumerates
 
 
 class GraphAction:
@@ -177,7 +178,7 @@ def extract_digraph(g: Graph, action: GraphAction) -> Digraph:
     return dig
 
 
-def digraph_aut(dig: Digraph, enumeration_cap=1_000_000) -> PermGroup:
+def digraph_aut(dig: Digraph) -> PermGroup:
     """Subgroup of Aut(underlying) preserving the arc set, on vertices + darts."""
     g = dig.underlying
     if not g.is_connected():
@@ -191,7 +192,7 @@ def digraph_aut(dig: Digraph, enumeration_cap=1_000_000) -> PermGroup:
                 raise AssertionError("directed refinement produced a non-arc map")
         return action.group
     full = aut_group(g)
-    if full.group.order() > enumeration_cap:
+    if full.group.order() > DIGRAPH_ENUMERATION_CAP:
         raise GraphError("non-simple digraph automorphism search beyond cap")
     els, _ = full.group.elements()
     keeps_arcs = dig.arcs[els[:, np.nonzero(dig.arcs)[0] + g.n] - g.n]

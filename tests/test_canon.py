@@ -1,5 +1,5 @@
 """Partition-backtrack search seeded with known automorphisms, the cached dart
-classes, and the breadth-first connectivity search."""
+classes, the breadth-first spanning tree and the structural profile."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hatd4 import canon
 from hatd4 import census as CE
-from hatd4.graphs import Graph, GraphError, certificate
+from hatd4.graphs import Graph, GraphError, certificate, structural_profile
 from hatd4.perms import PermGroup
 from hatd4.symmetry import aut_group
 
@@ -209,12 +209,12 @@ def test_dart_classes_cached_and_immutable():
 
 
 # ---------------------------------------------------------------------------
-# connectivity
+# spanning tree and connectivity
 # ---------------------------------------------------------------------------
 
 
 def component_size_by_loop(g, start):
-    """The depth-first search that `Graph._component_of` replaced."""
+    """Size of the component of start, by depth-first search."""
     seen = {start}
     stack = [start]
     ends = g.end()
@@ -226,6 +226,28 @@ def component_size_by_loop(g, start):
                 seen.add(w)
                 stack.append(w)
     return len(seen)
+
+
+def tree_by_queue(g):
+    """The vertex-by-vertex breadth-first search that `Graph.spanning_tree`
+    replaced: (parent dart per vertex, order of discovery)."""
+    parent_dart = np.full(g.n, -1, dtype=np.int32)
+    seen = np.zeros(g.n, dtype=bool)
+    seen[0] = True
+    order = [0]
+    ends = g.end()
+    indptr, darts = g.darts_by_vertex()
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
+        for x in darts[indptr[v] : indptr[v + 1]]:
+            w = int(ends[x])
+            if not seen[w]:
+                seen[w] = True
+                parent_dart[w] = x
+                order.append(w)
+    return parent_dart, order
 
 
 @st.composite
@@ -249,7 +271,34 @@ def dart_graphs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(dart_graphs())
-def test_component_of_matches_loop(g):
-    for start in range(g.n):
-        assert g._component_of(start) == component_size_by_loop(g, start)
+def test_spanning_tree_matches_queue_search(g):
+    """Same parents and discovery order as the queue, disconnected graphs
+    included; one cached tree; connectivity as depth-first search finds it."""
+    parent, layers = g.spanning_tree()
+    want_parent, want_order = tree_by_queue(g)
+    assert np.array_equal(parent, want_parent)
+    assert [0] + [int(v) for vs, _ in layers for v in vs] == want_order
+    for vs, ts in layers:
+        assert vs.dtype == ts.dtype == parent.dtype == np.int32
+        assert np.array_equal(parent[vs], ts)
+    assert g.spanning_tree() is g.spanning_tree()
     assert g.is_connected() == (component_size_by_loop(g, 0) == g.n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dart_graphs())
+def test_structural_profile_matches_edge_loop(g):
+    loops, pair_count = 0, {}
+    for x in map(int, g.edges()):
+        u, w = int(g.beg[x]), g.end(x)
+        if int(g.inv[x]) == x:
+            continue
+        if u == w:
+            loops += 1
+        else:
+            key = (min(u, w), max(u, w))
+            pair_count[key] = pair_count.get(key, 0) + 1
+    prof = structural_profile(g)
+    assert prof.semiedges == sum(int(g.inv[x]) == x for x in range(g.m))
+    assert prof.loops == loops
+    assert prof.parallel_classes == sum(c >= 2 for c in pair_count.values())

@@ -53,23 +53,38 @@ def test_episearch_cli(capsys):
     assert "coset_order=42" in out[0]
 
 
-def test_covers_cli(tmp_path, capsys):
-    # build the order-42 pair, save graph + group, run covers
+@pytest.fixture(scope="module")
+def pair42_files(tmp_path_factory):
+    """The order-42 pair saved as a graph file and a group file."""
     from hatd4.universal import coset_graph, epimorphism_search
     from hatd4.perms import read_group_file
 
     grp = read_group_file(CE.packaged_catalog_dir() / "pgl_2_7.grp")
     w = epimorphism_search(grp)[0]
     graph, action = coset_graph(grp, w.stabiliser_group(), w.g)
-    gpath = tmp_path / "pair42.graph"
-    write_graph(graph, gpath)
-    kpath = tmp_path / "pair42.grp"
-    write_group_file(action.group, kpath, name="pair42")
-    assert main(["covers", str(gpath), str(kpath), "--max-order", "168"]) == 0
+    tmp = tmp_path_factory.mktemp("pair42")
+    write_graph(graph, tmp / "pair42.graph")
+    write_group_file(action.group, tmp / "pair42.grp", name="pair42")
+    return str(tmp / "pair42.graph"), str(tmp / "pair42.grp")
+
+
+def test_covers_cli(pair42_files, capsys):
+    assert main(["covers", *pair42_files, "--max-order", "168"]) == 0
     out = capsys.readouterr().out.strip().split("\n")
     assert out[-1] == "covers 2"  # degree 2 and degree 3 (orders 84 and 126)
     assert all(l.startswith("cover p=") for l in out[:-1])
     assert "kernel_hash=" in out[0]
+
+
+@pytest.mark.parametrize("option", [["--prime", "4"], ["--prime", "9"],
+                                    ["--prime", "0"], ["--prime", "-3"],
+                                    ["--dim", "0"], ["--dim", "-1"]],
+                         ids=lambda o: "".join(o))
+def test_covers_rejects_bad_prime_or_dim(pair42_files, capsys, option):
+    assert main(["covers", *pair42_files, "--max-order", "1500", *option]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert "covers" not in captured.out
 
 
 def test_census_cli_and_verify(tmp_path, capsys):

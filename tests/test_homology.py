@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from hatd4 import canon, gfp, meataxe
-from hatd4.covers import CoverError, check_lemma_nq, quotient
+from hatd4.covers import CoverError, check_lemma_nq, fibre_index, quotient
 from hatd4.graphs import certificate, from_simple_edges
-from hatd4.homology import (_dual_lines, _eigenvalue_candidates,
-                            _quotient_matrices, cover_budget,
+from hatd4.homology import (_cycle_supports, _dual_lines,
+                            _eigenvalue_candidates, _generator_matrix_int,
+                            _packed_generator_matrix, _quotient_matrices,
+                            cover_budget,
                             cover_from_kernel, dual_minimal_submodules,
                             homology_rep, lift_group,
                             maximal_invariant_submodules,
                             minimal_admissible_covers, voltages_from_dual)
 from hatd4.perms import PermGroup, is_dihedral_8
-from hatd4.symmetry import GraphAction, aut_group, is_relevant_pair
+from hatd4.symmetry import GraphAction, aut_group, combine, is_relevant_pair
 
 
 def rotation_action(g, vmap):
@@ -198,6 +200,14 @@ def test_budget():
     assert 257 not in got
 
 
+@pytest.mark.parametrize("primes, dim", [([4], None), ([9], None), ([0], None),
+                                         ([-3], None), ([2, 1], None),
+                                         (None, 0), ([3], -1)])
+def test_budget_rejects_non_primes_and_dimensions_below_one(primes, dim):
+    with pytest.raises(CoverError):
+        cover_budget(42, 1500, primes, dim)
+
+
 def test_degree2_cover_of_base_pair(base_pair_42):
     graph, action = base_pair_42
     covers = minimal_admissible_covers(graph, action, 84)
@@ -342,3 +352,89 @@ def test_generator_orders_annihilate_action(base_pair_42, cube, p):
             for _ in range(k):
                 power = gfp.matmul(power, a, p)
             assert np.array_equal(power, eye)
+
+
+# ---------------------------------------------------------------------------
+# tree walks one layer at a time, against the vertex-by-vertex loops
+# ---------------------------------------------------------------------------
+
+
+def tree_order(g):
+    """Parent dart per vertex and the breadth-first order of the vertices."""
+    parent, layers = g.spanning_tree()
+    return parent, [0] + [int(v) for vs, _ in layers for v in vs]
+
+
+def matrix_by_loop(g, dp, cotree, idx, sgn):
+    """The integer generator matrix, one vertex and one cotree dart at a time."""
+    parent, order = tree_order(g)
+    psi = np.zeros((g.n, len(cotree)), dtype=np.int64)
+    for v in order[1:]:
+        t = int(parent[v])
+        img = int(dp[t])
+        psi[v] = psi[int(g.beg[t])]
+        if idx[img] >= 0:
+            psi[v, idx[img]] += sgn[img]
+    mat = np.zeros((len(cotree), len(cotree)), dtype=np.int64)
+    for j, c in enumerate(map(int, cotree)):
+        img = int(dp[c])
+        mat[j] = psi[int(g.beg[c])] - psi[g.end(c)]
+        if idx[img] >= 0:
+            mat[j, idx[img]] += sgn[img]
+    return mat
+
+
+def test_cycle_supports_match_cotree_loop(base_pair_42):
+    graph, _ = base_pair_42
+    parent, _ = tree_order(graph)
+    tree = {int(x) for x in parent if x >= 0} | {int(graph.inv[x]) for x in parent if x >= 0}
+    _, cotree, idx, sgn = _cycle_supports(graph)
+    assert cotree.tolist() == [int(x) for x in graph.edges() if int(x) not in tree]
+    for j, c in enumerate(map(int, cotree)):
+        assert (idx[c], sgn[c], idx[graph.inv[c]], sgn[graph.inv[c]]) == (j, 1, j, -1)
+    assert np.all(idx[list(tree)] == -1) and np.all(sgn[list(tree)] == 0)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_generator_matrices_match_vertex_loops(base_pair_42, p):
+    """Dense and packed builders give the loops' matrix, the homology
+    module its reduction mod p."""
+    graph, action = base_pair_42
+    layers, cotree, idx, sgn = _cycle_supports(graph)
+    mod = homology_rep(graph, action, p)
+    for perm, a in zip(action.group.gens, mod.action):
+        dp = perm[graph.n :] - graph.n
+        want = matrix_by_loop(graph, dp, cotree, idx, sgn)
+        assert np.array_equal(_generator_matrix_int(graph, dp, layers, cotree, idx, sgn), want)
+        assert np.array_equal(a, want % p)
+        packed = _packed_generator_matrix(graph, dp, layers, cotree, idx)
+        assert np.array_equal(packed, gfp.gf2_pack(want % 2))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_lift_potentials_match_vertex_loop(base_pair_42, p):
+    """lift_group's generators are the lifts by the potentials that the
+    vertex-by-vertex loop solves, then the translations."""
+    graph, action = base_pair_42
+    parent, order = tree_order(graph)
+    mod = homology_rep(graph, action, p)
+    lifted = minimal_admissible_covers(graph, action, 42 * p, primes=[p])
+    assert [(lp.p, lp.d) for lp in lifted] == [(p, 1)]
+    for lp in lifted:
+        volt = lp.zeta.volt
+        gens = []
+        for perm, q in zip(action.group.gens, _quotient_matrices(mod, lp.dual_basis)):
+            dp = perm[graph.n :] - graph.n
+            delta = (volt[dp] - volt @ q) % p
+            s = np.zeros((graph.n, lp.d), dtype=np.int64)
+            for v in order[1:]:
+                t = int(parent[v])
+                s[v] = (s[int(graph.beg[t])] + delta[t]) % p
+            s = (s - s[0]) % p
+            gens.append(combine(lp.cover, fibre_index(perm[: graph.n], s, p, lp.d, q),
+                                fibre_index(dp, s[graph.beg], p, lp.d, q)))
+        gens.extend(lp.translations.group.gens)
+        want = PermGroup(lp.cover.n + lp.cover.m, gens).gens
+        got = lp.action.group.gens
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -113,6 +113,20 @@ def test_locate_round_trips_and_rejects_base_lookalikes(catalog):
     assert wide.elements()[1](from_cycles(28, [(0, 2)])) == -1
 
 
+def test_chain_and_elements_built_once_per_group(monkeypatch):
+    """One stabiliser chain and one enumeration (one element key) per group."""
+    from hatd4 import perms
+
+    built = []
+    real = perms._base_key
+    monkeypatch.setattr(perms, "_base_key", lambda *a: built.append(a) or real(*a))
+    g = S(5, (0, 1, 2, 3, 4), (2, 3, 4))
+    assert g.chain() is g.chain()
+    first = g.elements()
+    assert g.elements() is first and len(built) == 1
+    assert not first[0].flags.writeable
+
+
 def test_closure_membership_random_products(s4):
     rng = np.random.default_rng(1)
     w = identity_perm(4)
