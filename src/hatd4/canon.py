@@ -23,7 +23,7 @@ from collections import deque
 import numpy as np
 
 from hatd4.graphs import GraphError, csr_rows
-from hatd4.perms import inverse
+from hatd4.perms import inverse, orbit_labels
 
 DTYPE = np.int32
 
@@ -294,7 +294,7 @@ class _Frame:
             new = [g for g in gens[self.orb_gens:] if np.array_equal(g[pre], pre)]
             if new:
                 self.fixing.extend(new)
-                self.orb = _orbit_labels(n, self.fixing, self.orb)
+                self.orb = orbit_labels(n, self.fixing, self.orb)
             self.orb_gens = len(gens)
         return self.orb
 
@@ -307,31 +307,6 @@ class CanonResult:
         self.labeling = labeling  # vertex -> canonical position
         self.aut_gens = aut_gens  # vertex permutations
         self.leaves = leaves
-
-
-def _orbit_labels(n, gens, orb=None):
-    """Smallest point of each point's orbit under gens.  orb, if given,
-    holds these labels for a subgroup generated by some of gens."""
-    if orb is None:
-        orb = np.arange(n, dtype=DTYPE)
-    if not gens:
-        return orb
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            m = np.minimum(orb, orb[g])
-            m = np.minimum(m, m[g])
-            if not np.array_equal(m, orb):
-                orb = m
-                changed = True
-    # flatten to representatives
-    while True:
-        m = orb[orb]
-        if np.array_equal(m, orb):
-            break
-        orb = m
-    return orb
 
 
 def _known_automorphisms(view: _View, known_gens):

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hatd4 import gfp
-from hatd4.canon import _orbit_labels
 from hatd4.graphs import DTYPE, Graph, GraphError, parse_ints
-from hatd4.perms import PermGroup, inverse, is_semiregular
+from hatd4.perms import PermGroup, inverse, is_semiregular, orbit_labels
 from hatd4.symmetry import GraphAction
 
 
@@ -74,7 +73,7 @@ def compose(p2: Projection, p1: Projection) -> Projection:
 
 def _orbit_ids(degree, gens):
     """Orbit label per point (labels dense, ordered by minimal element)."""
-    reps, ids = np.unique(_orbit_labels(degree, gens), return_inverse=True)
+    reps, ids = np.unique(orbit_labels(degree, gens), return_inverse=True)
     return ids.astype(DTYPE), reps
 
 

@@ -226,12 +226,10 @@ def gf2_nullspace_packed(w, ncols):
     r, pivots = gf2_rref_packed(w, ncols)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
-    dense = gf2_unpack(r, ncols) if len(pivots) else np.zeros((0, ncols), np.int64)
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for j, c in enumerate(pivots):
-            basis[i, c] = dense[j, f]
+    basis[np.arange(len(free)), free] = 1
+    if pivots:
+        basis[:, pivots] = gf2_unpack(r, ncols)[:, free].T
     if len(basis):
         basis = gf2_unpack(gf2_rref_packed(gf2_pack(basis), ncols)[0], ncols)
     return basis

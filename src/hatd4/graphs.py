@@ -35,24 +35,23 @@ def parse_ints(tokens, path, lineno, error=GraphError):
 class Graph:
     __slots__ = ("n", "m", "beg", "inv", "_cache")
 
-    def __init__(self, n, beg, inv, validate=True):
+    def __init__(self, n, beg, inv):
         self.n = int(n)
         self.beg = np.asarray(beg, dtype=DTYPE)
         self.inv = np.asarray(inv, dtype=DTYPE)
         self.m = len(self.beg)
         self._cache = {}
-        if validate:
-            if self.n < 1:
-                raise GraphError("a graph needs at least one vertex")
-            if len(self.inv) != self.m:
-                raise GraphError("beg and inv must have equal length")
-            if self.m and (self.beg.min() < 0 or self.beg.max() >= self.n):
-                raise GraphError("beg maps outside the vertex range")
-            if self.m and (self.inv.min() < 0 or self.inv.max() >= self.m):
-                raise GraphError("inv maps outside the dart range")
-            bad = np.nonzero(self.inv[self.inv] != np.arange(self.m, dtype=DTYPE))[0]
-            if bad.size:
-                raise GraphError("inv not involution at dart %d" % int(bad[0]))
+        if self.n < 1:
+            raise GraphError("a graph needs at least one vertex")
+        if len(self.inv) != self.m:
+            raise GraphError("beg and inv must have equal length")
+        if self.m and (self.beg.min() < 0 or self.beg.max() >= self.n):
+            raise GraphError("beg maps outside the vertex range")
+        if self.m and (self.inv.min() < 0 or self.inv.max() >= self.m):
+            raise GraphError("inv maps outside the dart range")
+        bad = np.nonzero(self.inv[self.inv] != np.arange(self.m, dtype=DTYPE))[0]
+        if bad.size:
+            raise GraphError("inv not involution at dart %d" % int(bad[0]))
         self.beg.setflags(write=False)
         self.inv.setflags(write=False)
 

@@ -270,7 +270,7 @@ def _quotient_matrices(mod: HomologyModule, r):
 
 
 def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
-               dual_basis, qmats, anchor=0) -> LiftedPair:
+               dual_basis, qmats) -> LiftedPair:
     """Lift the acting group along the derived cover of an admissible voltage.
 
     zeta must come from the invariant kernel of dual_basis (admissibility),
@@ -278,14 +278,13 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
     GF(p)^d, as `_quotient_matrices` gives it.  Each generator's lift solves
     vertex potentials along the spanning tree and is rejected if any cotree
     dart violates the potential equation; fibre point a over v maps to
-    a Q + s(v) over the image of v.  Lifts of generators fixing the anchor
-    vertex fix the anchored fibre point, so the stabiliser of (anchor, 0) is
-    generated by the lifts of the stabiliser generators supplied through the
-    action ordering.
+    a Q + s(v) over the image of v.  Potentials vanish at vertex 0, so lifts
+    of generators fixing vertex 0 fix the fibre point (0, 0), and the
+    stabiliser of (0, 0) is generated by the lifts of the stabiliser
+    generators supplied through the action ordering.
     """
     p, d = zeta.p, zeta.d
     cover, proj = derived_cover(zeta)
-    q = p**d
     ends = g.end()
     _, layers = spanning_tree(g)
     lifted = []
@@ -301,18 +300,17 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
             s[vs] = (s[g.beg[ts]] + delta[ts]) % p
         if np.any((s[ends] - s[g.beg] - delta) % p):
             raise CoverError("generator %d does not lift (non-admissible voltage)" % gi)
-        s = (s - s[anchor]) % p
+        s = (s - s[0]) % p
         lift_v = fibre_index(vp, s, p, d, qmat)
         lift_d = fibre_index(dp, s[g.beg], p, d, qmat)
         lifted.append((lift_v, lift_d))
-        if vp[anchor] == anchor:
+        if vp[0] == 0:
             stab_lifts.append(combine(cover, lift_v, lift_d))
     trans = translation_action(zeta, cover)
     gens = [combine(cover, v, dpp) for v, dpp in lifted]
     gens.extend(trans.group.gens)
-    want = q * action.group.order()
-    big = PermGroup(cover.n + cover.m, gens, known_order=want,
-                    base_hint=(anchor * q,))
+    want = p**d * action.group.order()
+    big = PermGroup(cover.n + cover.m, gens, known_order=want)
     lifted_action = GraphAction(cover, big)
     if big.order() != want:
         raise CoverError("lifted group has order %d, expected %d"

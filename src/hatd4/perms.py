@@ -4,15 +4,18 @@ A permutation on 0..k-1 is a numpy int32 array of images; the product
 convention is ``x^(gh) = (x^g)^h``, so ``compose(g, h)`` applies g first.
 PermGroup keeps a lazily built Schreier-Sims chain with Schreier-vector
 transversals; base points are chosen ascending (smallest moved point),
-which makes every derived count reproducible.  A caller that already
-knows the group order can pass it in: the chain build then stops as soon
-as the product of fundamental orbit lengths reaches it, which is very
-fast for the large-degree lifted groups.  The early exit trusts that
-order and is exact only when it is right: a value below the true order
-that a partial chain reaches stops the build there (S4's generators with
-``known_order=12`` report order 12).  A value the chain never reaches
-raises ChainOrderMismatch, and PermGroup then rebuilds without it.
-"""
+which makes every derived count reproducible.  A chain grows one element
+at a time: ``StabChain.add(g)`` sifts g, installs a non-trivial residue and
+sifts the Schreier pairs that creates until the chain is closed again.
+The constructor sifts its generators in turn and closes once.  A caller
+that already knows the group order can pass it in: the chain then stops
+as soon as the product of fundamental orbit lengths reaches it, which is
+very fast for the large-degree lifted groups, and refuses any later
+non-member.  The early exit trusts that order and is exact only when it is
+right: a value below the true order that a partial chain reaches stops the
+build there (S4's generators with ``known_order=12`` report order 12).  A
+chain that never reaches its known order has sifted every pair and reports
+its true order."""
 
 from __future__ import annotations
 
@@ -129,12 +132,14 @@ class _Level:
         self.pending = deque()
 
 
-class ChainOrderMismatch(GroupError):
-    pass
-
-
 class StabChain:
-    """Deterministic Schreier-Sims stabiliser chain."""
+    """Deterministic Schreier-Sims stabiliser chain.
+
+    complete is set once the product of orbit lengths reaches known_order;
+    the chain then keeps no Schreier pairs and add() only confirms members.
+    base_hint lists points to try as base points before the smallest moved
+    one.
+    """
 
     def __init__(self, degree, gens, base_hint=(), known_order=None):
         self.degree = degree
@@ -142,30 +147,17 @@ class StabChain:
         self.base_hint = list(base_hint)
         self.known_order = known_order
         self.complete = False
-        seen = set()
-        todo = []
         for g in gens:
-            key = g.tobytes()
-            if key in seen or is_identity(g):
-                continue
-            seen.add(key)
-            todo.append(np.asarray(g, dtype=DTYPE))
-        for g in todo:
-            if self.complete:
-                # group already fully known; just confirm membership
-                resid, _ = self._strip(g, 0)
-                if not is_identity(resid):
-                    raise GroupError("early-exit chain rejected a generator")
-                continue
-            resid, lvl = self._strip(g, 0)
-            if not is_identity(resid):
-                self._introduce(lvl, resid)
-                self._check_known()
-        self._process_pending()
-        if self.known_order is not None and not self.complete:
-            raise ChainOrderMismatch(
-                "chain closed at order %d, expected %d" % (self.order(), self.known_order)
-            )
+            self._sift_in(np.asarray(g, dtype=DTYPE))
+        self._close()
+
+    def add(self, g):
+        """Sift g into the chain and close it again; True iff g was not a
+        member.  A chain at its known order raises GroupError instead."""
+        grew = self._sift_in(np.asarray(g, dtype=DTYPE))
+        if grew:
+            self._close()
+        return grew
 
     # -- queries ------------------------------------------------------------
 
@@ -189,6 +181,18 @@ class StabChain:
         return []
 
     # -- construction internals ----------------------------------------------
+
+    def _sift_in(self, g):
+        """Install g's residue, if any, as a strong generator; True iff it
+        had one."""
+        resid, lvl = self._strip(g, 0)
+        if is_identity(resid):
+            return False
+        if self.complete:
+            raise GroupError("element outside a chain at its known order %d"
+                             % self.known_order)
+        self._introduce(lvl, resid)
+        return True
 
     def _strip(self, h, from_level):
         for i in range(from_level, len(self.levels)):
@@ -222,20 +226,26 @@ class StabChain:
             lev.gens.append(g)
             lev.inv_gens.append(ginv)
             self._extend_orbit(lev, len(lev.gens) - 1)
+        if self.known_order is not None and self.order() == self.known_order:
+            self.complete = True
+            for lev in self.levels:
+                lev.pending.clear()
 
-    def _extend_orbit(self, lev, new_gen_idx=None):
+    def _extend_orbit(self, lev, new):
+        """Apply generator number new to lev's orbit, then every generator to
+        each point that joins it; each image already in the orbit queues a
+        Schreier pair (point, generator)."""
         queue = deque()
-        if new_gen_idx is not None:
-            g = lev.gens[new_gen_idx]
-            for pt in list(lev.orbit):
-                img = int(g[pt])
-                if lev.via[img] == -2:
-                    lev.via[img] = new_gen_idx
-                    lev.parent[img] = pt
-                    lev.orbit.append(img)
-                    queue.append(img)
-                else:
-                    lev.pending.append((pt, new_gen_idx))
+        g = lev.gens[new]
+        for pt in list(lev.orbit):
+            img = int(g[pt])
+            if lev.via[img] == -2:
+                lev.via[img] = new
+                lev.parent[img] = pt
+                lev.orbit.append(img)
+                queue.append(img)
+            else:
+                lev.pending.append((pt, new))
         while queue:
             pt = queue.popleft()
             for k, g in enumerate(lev.gens):
@@ -261,21 +271,15 @@ class StabChain:
             u = g if u is None else g[u]
         return u
 
-    def _check_known(self):
-        if self.known_order is not None and self.order() == self.known_order:
-            self.complete = True
-            for lev in self.levels:
-                lev.pending.clear()
-
-    def _process_pending(self):
-        if self.complete:
-            return
-        while True:
+    def _close(self):
+        """Sift pending Schreier pairs, deepest level first, until none is
+        left or the chain is complete."""
+        while not self.complete:
             i = len(self.levels) - 1
             while i >= 0 and not self.levels[i].pending:
                 i -= 1
             if i < 0:
-                break
+                return
             lev = self.levels[i]
             pt, k = lev.pending.popleft()
             u = self._transversal(lev, pt)
@@ -284,10 +288,6 @@ class StabChain:
             resid, j = self._strip(w, i)
             if not is_identity(resid):
                 self._introduce(j, resid)
-                self._check_known()
-                if self.complete:
-                    return
-        self.complete = self.known_order is None or self.order() == self.known_order
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +298,10 @@ class StabChain:
 class PermGroup:
     """Finite permutation group on 0..degree-1 given by generators."""
 
-    __slots__ = ("degree", "gens", "name", "_known_order", "_chain",
-                 "_elements", "base_hint")
+    __slots__ = ("degree", "gens", "name", "_known_order", "_chain", "_elements")
 
-    def __init__(self, degree, gens, name=None, known_order=None, base_hint=()):
+    def __init__(self, degree, gens, name=None, known_order=None):
         self.degree = int(degree)
-        self.base_hint = tuple(int(b) for b in base_hint)
         cleaned = []
         seen = set()
         for g in gens:
@@ -325,15 +323,10 @@ class PermGroup:
         return "<%s degree=%d gens=%d>" % (label, self.degree, len(self.gens))
 
     def chain(self):
-        """The stabiliser chain, built once, with base points tried from
-        base_hint first."""
+        """The stabiliser chain, built once."""
         if self._chain is None:
-            try:
-                self._chain = StabChain(self.degree, self.gens, self.base_hint,
-                                        known_order=self._known_order)
-            except ChainOrderMismatch:
-                self._chain = StabChain(self.degree, self.gens, self.base_hint)
-            self._known_order = self._chain.order()
+            self._chain = StabChain(self.degree, self.gens,
+                                    known_order=self._known_order)
         return self._chain
 
     def order(self):
@@ -351,35 +344,16 @@ class PermGroup:
     def orbit(self, point):
         if point >= self.degree:
             raise GroupError("point %d out of range" % point)
-        seen = np.zeros(self.degree, dtype=bool)
-        seen[point] = True
-        frontier = [point]
-        out = [point]
-        while frontier:
-            pts = np.array(frontier, dtype=DTYPE)
-            frontier = []
-            for g in self.gens:
-                imgs = g[pts]
-                new = imgs[~seen[imgs]]
-                if new.size:
-                    new = np.unique(new)
-                    new = new[~seen[new]]
-                    seen[new] = True
-                    out.extend(int(x) for x in new)
-                    frontier.extend(int(x) for x in new)
-        return set(out)
+        labels = orbit_labels(self.degree, self.gens)
+        return set(np.flatnonzero(labels == labels[point]).tolist())
 
     def orbits(self, points=None):
-        todo = range(self.degree) if points is None else points
-        seen = set()
-        parts = []
-        for p in todo:
-            if p in seen:
-                continue
-            orb = self.orbit(p)
-            seen |= orb
-            parts.append(orb)
-        return parts
+        """The orbits meeting points (default all), as sets, in the order
+        their first point appears."""
+        labels = orbit_labels(self.degree, self.gens)
+        todo = labels if points is None else labels[np.asarray(list(points), dtype=np.intp)]
+        reps = todo[np.sort(np.unique(todo, return_index=True)[1])]
+        return [set(np.flatnonzero(labels == r).tolist()) for r in reps]
 
     def point_stabiliser(self, point):
         movers = [g for g in self.gens if g[point] != point]
@@ -454,21 +428,31 @@ def _base_key(degree, base):
         perms[..., base]).view(np.dtype((np.void, width)))[..., 0]
 
 
+def orbit_labels(n, gens, labels=None):
+    """Smallest point of each point's orbit under gens, on 0..n-1.  labels,
+    if given, holds these labels for a subgroup generated by some of gens.
+
+    Each round lowers every label to its image's label under each generator,
+    then jumps each label to its own label, until a round changes nothing."""
+    if labels is None:
+        labels = np.arange(n, dtype=DTYPE)
+    while True:
+        old = labels
+        for g in gens:
+            labels = np.minimum(labels, labels[g])
+        labels = labels[labels]
+        if np.array_equal(labels, old):
+            return labels
+
+
 def is_semiregular(n: PermGroup, points) -> bool:
     """True iff the stabiliser in n of every listed point is trivial."""
-    points = list(points)
-    if not points:
+    points = np.asarray(list(points), dtype=np.intp)
+    if not points.size:
         raise GroupError("is_semiregular needs a non-empty point set")
-    order = n.order()
-    seen = set()
-    for p in points:
-        if p in seen:
-            continue
-        orb = n.orbit(p)
-        seen |= orb
-        if len(orb) != order:
-            return False
-    return True
+    labels = orbit_labels(n.degree, n.gens)
+    sizes = np.bincount(labels, minlength=n.degree)
+    return bool(np.all(sizes[labels[points]] == n.order()))
 
 
 def normal_closure(g: PermGroup, seeds) -> PermGroup:
@@ -491,10 +475,7 @@ def normal_closure(g: PermGroup, seeds) -> PermGroup:
         k = queue.popleft()
         for gg, gi in zip(g.gens, g_invs):
             c = gg[k[gi]]  # g^-1 * k * g
-            resid, lvl = ch._strip(c, 0)
-            if not is_identity(resid):
-                ch._introduce(lvl, resid)
-                ch._process_pending()
+            if ch.add(c):
                 closure.append(c)
                 queue.append(c)
     return PermGroup(degree, closure, known_order=ch.order())

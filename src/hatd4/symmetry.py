@@ -15,7 +15,7 @@ import numpy as np
 
 from hatd4 import canon
 from hatd4.graphs import Graph, GraphError, structural_profile
-from hatd4.perms import DTYPE, PermGroup, is_dihedral_8
+from hatd4.perms import DTYPE, PermGroup, StabChain, is_dihedral_8, orbit_labels
 
 ARC_TRANSITIVE = "ArcTransitive"
 HALF_ARC_TRANSITIVE = "HalfArcTransitive"
@@ -28,19 +28,18 @@ class GraphAction:
 
     __slots__ = ("graph", "group")
 
-    def __init__(self, graph: Graph, group: PermGroup, validate=True):
+    def __init__(self, graph: Graph, group: PermGroup):
         if group.degree != graph.n + graph.m:
             raise GraphError(
                 "action degree %d does not match graph (%d vertices + %d darts)"
                 % (group.degree, graph.n, graph.m)
             )
-        if validate:
-            for g in group.gens:
-                vp, dp = self._split_static(graph, g)
-                if not np.array_equal(vp[graph.beg], graph.beg[dp]):
-                    raise GraphError("generator does not commute with beg")
-                if not np.array_equal(dp[graph.inv], graph.inv[dp]):
-                    raise GraphError("generator does not commute with inv")
+        for g in group.gens:
+            vp, dp = self._split_static(graph, g)
+            if not np.array_equal(vp[graph.beg], graph.beg[dp]):
+                raise GraphError("generator does not commute with beg")
+            if not np.array_equal(dp[graph.inv], graph.inv[dp]):
+                raise GraphError("generator does not commute with inv")
         self.graph = graph
         self.group = group
 
@@ -57,10 +56,9 @@ class GraphAction:
         return [g[n:] - n for g in self.group.gens]
 
     @classmethod
-    def from_vertex_dart(cls, graph, pairs, name=None, known_order=None, validate=True):
+    def from_vertex_dart(cls, graph, pairs, known_order=None):
         gens = [combine(graph, vp, dp) for vp, dp in pairs]
-        return cls(graph, PermGroup(graph.n + graph.m, gens, name=name,
-                                    known_order=known_order), validate=validate)
+        return cls(graph, PermGroup(graph.n + graph.m, gens, known_order=known_order))
 
 
 def combine(graph, vperm, dperm):
@@ -143,17 +141,11 @@ def _local_order(g: Graph):
 def transitivity_profile(g: Graph, action: GraphAction) -> TransitivityProfile:
     if action.graph is not g and action.graph != g:
         raise GraphError("action belongs to a different graph")
-    grp = action.group
-    vt = g.n == 1 or len(grp.orbit(0)) == g.n
-    if g.m == 0:
-        dt = True
-        et = True
-    else:
-        dart_orbit0 = grp.orbit(g.n + 0)
-        dt = len(dart_orbit0) == g.m
-        eidx = g.edge_index()
-        edges_hit = {int(eidx[x - g.n]) for x in dart_orbit0}
-        et = len(edges_hit) == len(g.edges())
+    labels = orbit_labels(g.n + g.m, action.group.gens)
+    vt = bool(np.all(labels[: g.n] == 0))
+    orbit0 = labels[g.n :] == g.n     # the darts in the orbit of dart 0
+    dt = bool(np.all(orbit0))
+    et = len(np.unique(g.edge_index()[orbit0])) == len(g.edges())
     if vt and dt:
         cls = ARC_TRANSITIVE
     elif vt and et and not dt:
@@ -171,11 +163,7 @@ def extract_digraph(g: Graph, action: GraphAction) -> Digraph:
     prof = transitivity_profile(g, action)
     if prof.classification != HALF_ARC_TRANSITIVE:
         raise GraphError("action is %s, not half-arc-transitive" % prof.classification)
-    orbit0 = action.group.orbit(g.n + 0)
-    arcs = np.zeros(g.m, dtype=bool)
-    arcs[[x - g.n for x in orbit0]] = True
-    dig = Digraph(g, arcs)
-    return dig
+    return Digraph(g, orbit_labels(g.n + g.m, action.group.gens)[g.n :] == g.n)
 
 
 def digraph_aut(dig: Digraph) -> PermGroup:
@@ -196,7 +184,16 @@ def digraph_aut(dig: Digraph) -> PermGroup:
         raise GraphError("non-simple digraph automorphism search beyond cap")
     els, _ = full.group.elements()
     keeps_arcs = dig.arcs[els[:, np.nonzero(dig.arcs)[0] + g.n] - g.n]
-    return PermGroup(g.n + g.m, els[np.all(keeps_arcs, axis=1)])
+    kept = els[np.all(keeps_arcs, axis=1)]
+    # generators: the kept elements that grow a chain, until it holds them all
+    chain = StabChain(g.n + g.m, [])
+    grew = []
+    for x in kept:
+        if chain.order() == len(kept):
+            break
+        if chain.add(x):
+            grew.append(x)
+    return PermGroup(g.n + g.m, grew, known_order=len(kept))
 
 
 def is_relevant_pair(g: Graph, action: GraphAction) -> bool:

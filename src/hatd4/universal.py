@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hatd4.canon import _orbit_labels
 from hatd4.graphs import DTYPE, Graph, GraphError
-from hatd4.perms import PermGroup, identity_perm, inverse
+from hatd4.perms import PermGroup, identity_perm, inverse, orbit_labels
 from hatd4.symmetry import GraphAction
 
 
@@ -93,7 +92,7 @@ def epimorphism_search(group: PermGroup) -> list[EpiWitness]:
     # involution classes: orbits of conjugation by the generators on element
     # indices, each represented by its smallest index
     conj_perms = [locate(g[els[:, inverse(g)]]) for g in group.gens]
-    reps = np.unique(_orbit_labels(n, conj_perms)[invol])
+    reps = np.unique(orbit_labels(n, conj_perms)[invol])
 
     ginv_all = np.argsort(els, axis=1)
     witnesses = []
@@ -177,14 +176,8 @@ def coset_graph(group: PermGroup, stab: PermGroup, g):
     g_right = locate(els[:, g])
     gi_right = locate(els[:, gi])
 
-    beg = np.empty(4 * n, dtype=DTYPE)
-    inv = np.empty(4 * n, dtype=DTYPE)
-    for k, rep in enumerate(map(int, d0reps)):
-        beg[k] = vid[rep]
-        inv[k] = 2 * n + did1[g_right[rep]]
-    for k, rep in enumerate(map(int, d1reps)):
-        beg[2 * n + k] = vid[rep]
-        inv[2 * n + k] = did0[gi_right[rep]]
+    beg = vid[np.concatenate([d0reps, d1reps])]
+    inv = np.concatenate([2 * n + did1[g_right[d0reps]], did0[gi_right[d1reps]]])
     graph = Graph(n, beg, inv)
 
     # right multiplication action, generators of G plus stabiliser seeds
@@ -196,7 +189,7 @@ def coset_graph(group: PermGroup, stab: PermGroup, g):
         perm[n + did0[d0reps]] = n + did0[rk[d0reps]]
         perm[n + 2 * n + did1[d1reps]] = n + 2 * n + did1[rk[d1reps]]
         action_gens.append(perm)
-    pg = PermGroup(n + 4 * n, action_gens, known_order=group.order(), base_hint=(0,))
+    pg = PermGroup(n + 4 * n, action_gens, known_order=group.order())
     if pg.order() != group.order():
         raise SearchError("coset action is unfaithful (order %d)" % pg.order())
     action = GraphAction(graph, pg)

@@ -87,8 +87,8 @@ def test_cache_key_ignores_seeds(base_pair_42):
 
 def test_frame_orbits_rebuilt_only_for_new_automorphisms(monkeypatch):
     calls = []
-    orbit_labels = canon._orbit_labels
-    monkeypatch.setattr(canon, "_orbit_labels",
+    orbit_labels = canon.orbit_labels
+    monkeypatch.setattr(canon, "orbit_labels",
                         lambda *args: calls.append(args) or orbit_labels(*args))
     n = 8
     rot = (np.arange(n) + 1) % n

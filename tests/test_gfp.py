@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from sympy import GF, Poly, factor_list, symbols
 from sympy.polys.matrices import DomainMatrix
 
@@ -108,6 +109,15 @@ def test_nullspace_matches_sympy(case):
     assert np.array_equal(got, want)
     if len(got):
         assert not np.any(gfp.matmul(a, got.T, p))
+
+
+@given(st.tuples(st.integers(1, 8), st.integers(1, 140)).flatmap(
+    lambda shape: arrays(np.int64, shape, elements=st.integers(0, 1))))
+@settings(max_examples=150, deadline=None)
+def test_packed_gf2_nullspace_matches_dense(a):
+    # up to three 64-bit words per row, so pivots and free columns straddle words
+    got = gfp.gf2_nullspace_packed(gfp.gf2_pack(a), a.shape[1])
+    assert np.array_equal(got, gfp.nullspace(a, 2))
 
 
 @st.composite

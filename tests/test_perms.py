@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
-from hatd4.perms import (GroupError, PermGroup, compose, from_cycles,
-                         identity_perm, inverse, is_dihedral_8,
-                         is_elementary_abelian, is_semiregular,
-                         is_solvable, normal_closure, perm_order,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
+
+from hatd4.perms import (GroupError, PermGroup, StabChain, compose,
+                         derived_subgroup, from_cycles, identity_perm, inverse,
+                         is_dihedral_8, is_elementary_abelian, is_semiregular,
+                         is_solvable, normal_closure, orbit_labels, perm_order,
                          write_group_file, read_group_file)
 
 
@@ -223,6 +227,118 @@ def test_normal_closure(s4, a5):
     with pytest.raises(GroupError):
         normal_closure(PermGroup(4, [from_cycles(4, [(0, 1, 2)])]),
                        [from_cycles(4, [(0, 1)])])
+
+
+def test_normal_closure_sifts_new_schreier_pairs():
+    # <(0 2), (0 3 1)> is S4; the closure of a 4-cycle in it is all of S4
+    g = S(4, (0, 2), (0, 3, 1))
+    assert normal_closure(g, [from_cycles(4, [(0, 3, 1, 2)])]).order() == 24
+
+
+def test_a5_pair_is_not_solvable():
+    a5 = S(5, (0, 3, 1, 4, 2), (0, 3, 4, 2, 1))
+    assert a5.order() == 60
+    assert not is_solvable(a5)
+
+
+@st.composite
+def small_groups(draw):
+    """A group with 2-3 generators of degree at most 7, and 1-2 seed
+    elements given as words in the generators."""
+    deg = draw(st.integers(1, 7))
+    gens = [np.array(x, dtype=np.int32) for x in
+            draw(st.lists(st.permutations(range(deg)), min_size=2, max_size=3))]
+    words = draw(st.lists(st.lists(st.integers(0, len(gens) - 1), max_size=4),
+                          min_size=1, max_size=2))
+    seeds = []
+    for word in words:
+        w = identity_perm(deg)
+        for i in word:
+            w = compose(w, gens[i])
+        seeds.append(w)
+    return deg, gens, seeds
+
+
+def _sympy_perms(perms):
+    return [Permutation([int(x) for x in p]) for p in perms]
+
+
+@given(small_groups())
+@settings(max_examples=300, deadline=None)
+def test_closures_and_solvability_match_sympy(case):
+    deg, gens, seeds = case
+    g = PermGroup(deg, gens)
+    ref = PermutationGroup(_sympy_perms(gens))
+    assert g.order() == ref.order()
+    closure = ref.normal_closure(PermutationGroup(_sympy_perms(seeds)))
+    assert normal_closure(g, seeds).order() == closure.order()
+    assert derived_subgroup(g).order() == ref.derived_subgroup().order()
+    assert is_solvable(g) == ref.is_solvable
+
+
+def test_unreached_known_order_keeps_its_one_chain(monkeypatch):
+    built = []
+    real = StabChain.__init__
+    monkeypatch.setattr(StabChain, "__init__",
+                        lambda self, *a, **k: built.append(a) or real(self, *a, **k))
+    s4 = S(4, (0, 1), (0, 1, 2, 3))
+    g = PermGroup(4, s4.gens, known_order=48)
+    assert g.order() == 24 and len(built) == 1
+    assert g.contains(from_cycles(4, [(1, 3)]))
+
+
+def test_stab_chain_add():
+    ch = StabChain(4, [])
+    assert ch.add(from_cycles(4, [(0, 1, 2, 3)]))
+    assert not ch.add(from_cycles(4, [(0, 2), (1, 3)]))
+    assert ch.order() == 4
+    assert ch.add(from_cycles(4, [(0, 1)])) and ch.order() == 24
+    assert not ch.add(identity_perm(4))
+    full = StabChain(4, [from_cycles(4, [(0, 1, 2)])], known_order=3)
+    assert not full.add(from_cycles(4, [(0, 2, 1)]))
+    with pytest.raises(GroupError):
+        full.add(from_cycles(4, [(0, 1)]))
+
+
+def _bfs_orbit(degree, gens, point):
+    """Breadth-first orbit of one point, one generator at a time (oracle)."""
+    seen = np.zeros(degree, dtype=bool)
+    seen[point] = True
+    frontier = [point]
+    out = [point]
+    while frontier:
+        pts = np.array(frontier, dtype=np.int32)
+        frontier = []
+        for g in gens:
+            imgs = g[pts]
+            new = imgs[~seen[imgs]]
+            if new.size:
+                new = np.unique(new)
+                new = new[~seen[new]]
+                seen[new] = True
+                out.extend(int(x) for x in new)
+                frontier.extend(int(x) for x in new)
+    return set(out)
+
+
+def _bfs_labels(degree, gens):
+    return np.array([min(_bfs_orbit(degree, gens, x)) for x in range(degree)])
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), max_size=4), st.integers(0, 4))))
+@settings(max_examples=150, deadline=None)
+def test_orbit_labels_match_bfs(case):
+    n, gens, k = case
+    gens = [np.array(g, dtype=np.int32) for g in gens]
+    want = _bfs_labels(n, gens)
+    assert np.array_equal(orbit_labels(n, gens), want)
+    # starting from the labels of the subgroup the first k generators generate
+    start = _bfs_labels(n, gens[:k]).astype(np.int32)
+    assert np.array_equal(orbit_labels(n, gens, start), want)
+    grp = PermGroup(n, gens)
+    for x in range(n):
+        assert grp.orbit(x) == _bfs_orbit(n, gens, x)
 
 
 def test_perm_order():
