@@ -287,7 +287,7 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
     cover, proj = derived_cover(zeta)
     ends = g.end()
     _, layers = spanning_tree(g)
-    lifted = []
+    gens = []
     stab_lifts = []
     for gi, perm in enumerate(action.group.gens):
         vp = perm[: g.n]
@@ -303,11 +303,10 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
         s = (s - s[0]) % p
         lift_v = fibre_index(vp, s, p, d, qmat)
         lift_d = fibre_index(dp, s[g.beg], p, d, qmat)
-        lifted.append((lift_v, lift_d))
+        gens.append(combine(cover, lift_v, lift_d))
         if vp[0] == 0:
-            stab_lifts.append(combine(cover, lift_v, lift_d))
+            stab_lifts.append(gens[-1])
     trans = translation_action(zeta, cover)
-    gens = [combine(cover, v, dpp) for v, dpp in lifted]
     gens.extend(trans.group.gens)
     want = p**d * action.group.order()
     big = PermGroup(cover.n + cover.m, gens, known_order=want)

@@ -4,18 +4,25 @@ A permutation on 0..k-1 is a numpy int32 array of images; the product
 convention is ``x^(gh) = (x^g)^h``, so ``compose(g, h)`` applies g first.
 PermGroup keeps a lazily built Schreier-Sims chain with Schreier-vector
 transversals; base points are chosen ascending (smallest moved point),
-which makes every derived count reproducible.  A chain grows one element
-at a time: ``StabChain.add(g)`` sifts g, installs a non-trivial residue and
-sifts the Schreier pairs that creates until the chain is closed again.
-The constructor sifts its generators in turn and closes once.  A caller
-that already knows the group order can pass it in: the chain then stops
-as soon as the product of fundamental orbit lengths reaches it, which is
-very fast for the large-degree lifted groups, and refuses any later
-non-member.  The early exit trusts that order and is exact only when it is
-right: a value below the true order that a partial chain reaches stops the
-build there (S4's generators with ``known_order=12`` report order 12).  A
-chain that never reaches its known order has sifted every pair and reports
-its true order."""
+which makes every derived count reproducible.  The constructor installs
+all its generators at level 0 at once and builds that level's orbit and
+Schreier vector in one breadth-first pass over all of them, a numpy step
+per layer, so the tree is as deep as the orbit's radius rather than one
+generator's cycle.  It then sifts the Schreier pairs, kept as integer
+arrays, until the chain is closed.  A pair of level i whose residue stops
+at level j adds it to levels i+1..j only: the groups of levels 0..i hold
+it already.  ``StabChain.add(g)`` grows a chain one element at a time: it
+sifts g, installs a non-trivial residue at levels 0..j, j the level where
+the sift stopped (the same layered pass extends each orbit from the points
+it adds), and closes the chain again.  A caller that already knows the
+group order can pass it in: the chain then stops as soon as the product of
+fundamental orbit lengths reaches it, which is very fast for the
+large-degree lifted groups, and refuses any later non-member.  The early
+exit trusts that order and is exact only when it is right: a value below
+the true order that a partial chain reaches stops the build there (S4's
+generators with ``known_order=12`` report order 12).  A chain that never
+reaches its known order has sifted every pair and reports its true
+order."""
 
 from __future__ import annotations
 
@@ -118,27 +125,37 @@ Perm = np.ndarray
 # ---------------------------------------------------------------------------
 
 
+_NO_PAIRS = np.empty((0, 2), dtype=DTYPE)
+_NEVER = np.iinfo(np.int64).max
+
+
 class _Level:
-    __slots__ = ("base", "gens", "inv_gens", "via", "parent", "orbit", "pending")
+    __slots__ = ("base", "gens", "inv_gens", "via", "parent", "orbit", "pending",
+                 "cursor")
 
     def __init__(self, degree, base):
         self.base = base
         self.gens = []
-        self.inv_gens = []
+        self.inv_gens = []  # each generator's inverse, made when a sift needs it
         self.via = np.full(degree, -2, dtype=DTYPE)
         self.via[base] = -1
         self.parent = np.full(degree, -1, dtype=DTYPE)
-        self.orbit = [base]
-        self.pending = deque()
+        self.orbit = np.array([base], dtype=DTYPE)
+        self.pending = _NO_PAIRS  # Schreier pairs (point, generator) to sift
+        self.cursor = 0           # pending[:cursor] are sifted
 
 
 class StabChain:
     """Deterministic Schreier-Sims stabiliser chain.
 
-    complete is set once the product of orbit lengths reaches known_order;
-    the chain then keeps no Schreier pairs and add() only confirms members.
-    base_hint lists points to try as base points before the smallest moved
-    one.
+    The constructor installs every non-identity generator at level 0 at once
+    and builds that level's Schreier tree breadth-first over all of them, so
+    its depth is the orbit's radius, not the length of one generator's
+    cycle.  The base is the first base_hint point some generator moves,
+    otherwise the smallest point the first generator moves; later levels try
+    the later hints the same way.  complete is set once the product of orbit
+    lengths reaches known_order; the chain then keeps no Schreier pairs and
+    add() only confirms members.
     """
 
     def __init__(self, degree, gens, base_hint=(), known_order=None):
@@ -147,17 +164,24 @@ class StabChain:
         self.base_hint = list(base_hint)
         self.known_order = known_order
         self.complete = False
-        for g in gens:
-            self._sift_in(np.asarray(g, dtype=DTYPE))
-        self._close()
+        gens = [g for g in (np.asarray(g, dtype=DTYPE) for g in gens)
+                if not is_identity(g)]
+        if gens:
+            self._install(0, 0, gens)
+            self._close()
 
     def add(self, g):
         """Sift g into the chain and close it again; True iff g was not a
         member.  A chain at its known order raises GroupError instead."""
-        grew = self._sift_in(np.asarray(g, dtype=DTYPE))
-        if grew:
-            self._close()
-        return grew
+        resid, lvl = self._strip(np.asarray(g, dtype=DTYPE), 0)
+        if is_identity(resid):
+            return False
+        if self.complete:
+            raise GroupError("element outside a chain at its known order %d"
+                             % self.known_order)
+        self._install(0, lvl, [resid])
+        self._close()
+        return True
 
     # -- queries ------------------------------------------------------------
 
@@ -175,24 +199,13 @@ class StabChain:
         return is_identity(resid)
 
     def stabiliser_gens(self, level=1):
-        """Strong generators fixing the first `level` base points."""
+        """The strong generators of a level, which generate the stabiliser
+        of the first `level` base points once the chain is complete."""
         if level < len(self.levels):
             return list(self.levels[level].gens)
         return []
 
     # -- construction internals ----------------------------------------------
-
-    def _sift_in(self, g):
-        """Install g's residue, if any, as a strong generator; True iff it
-        had one."""
-        resid, lvl = self._strip(g, 0)
-        if is_identity(resid):
-            return False
-        if self.complete:
-            raise GroupError("element outside a chain at its known order %d"
-                             % self.known_order)
-        self._introduce(lvl, resid)
-        return True
 
     def _strip(self, h, from_level):
         for i in range(from_level, len(self.levels)):
@@ -204,59 +217,71 @@ class StabChain:
             if lev.via[beta] == -2:
                 return h, i
             while beta != b:
-                gi = lev.inv_gens[lev.via[beta]]
+                k = lev.via[beta]
+                gi = lev.inv_gens[k]
+                if gi is None:
+                    gi = lev.inv_gens[k] = inverse(lev.gens[k])
                 h = gi[h]
                 beta = int(gi[beta])
         return h, len(self.levels)
 
-    def _introduce(self, level, g):
-        """Install non-identity strong generator g, which fixes bases < level."""
+    def _install(self, low, level, gens):
+        """Install non-identity strong generators gens, which fix the bases
+        before level, at levels low..level."""
         if level == len(self.levels):
-            base = None
-            for hint in self.base_hint[len(self.levels) :]:
-                if g[hint] != hint:
-                    base = int(hint)
-                    break
-            if base is None:
-                base = int(np.nonzero(g != np.arange(self.degree, dtype=DTYPE))[0][0])
-            self.levels.append(_Level(self.degree, base))
-        ginv = inverse(g)
-        for lv in range(level + 1):
-            lev = self.levels[lv]
-            lev.gens.append(g)
-            lev.inv_gens.append(ginv)
-            self._extend_orbit(lev, len(lev.gens) - 1)
+            self.levels.append(_Level(self.degree, self._new_base(gens)))
+        for lev in self.levels[low : level + 1]:
+            first = len(lev.gens)
+            lev.gens.extend(gens)
+            lev.inv_gens.extend([None] * len(gens))
+            self._extend_orbit(lev, first)
         if self.known_order is not None and self.order() == self.known_order:
             self.complete = True
-            for lev in self.levels:
-                lev.pending.clear()
+            self._drop_pairs()
 
-    def _extend_orbit(self, lev, new):
-        """Apply generator number new to lev's orbit, then every generator to
-        each point that joins it; each image already in the orbit queues a
-        Schreier pair (point, generator)."""
-        queue = deque()
-        g = lev.gens[new]
-        for pt in list(lev.orbit):
-            img = int(g[pt])
-            if lev.via[img] == -2:
-                lev.via[img] = new
-                lev.parent[img] = pt
-                lev.orbit.append(img)
-                queue.append(img)
-            else:
-                lev.pending.append((pt, new))
-        while queue:
-            pt = queue.popleft()
-            for k, g in enumerate(lev.gens):
-                img = int(g[pt])
-                if lev.via[img] == -2:
-                    lev.via[img] = k
-                    lev.parent[img] = pt
-                    lev.orbit.append(img)
-                    queue.append(img)
-                else:
-                    lev.pending.append((pt, k))
+    def _new_base(self, gens):
+        for hint in self.base_hint[len(self.levels):]:
+            if any(g[hint] != hint for g in gens):
+                return int(hint)
+        return int(np.flatnonzero(gens[0] != np.arange(self.degree, dtype=DTYPE))[0])
+
+    def _extend_orbit(self, lev, first):
+        """Apply generators first.. of lev to its whole orbit, then every
+        generator to the points that join it, one breadth-first layer per
+        step.  Images are taken in (point, generator) order: an image new to
+        the orbit the first time it appears enters the Schreier tree, and
+        every other one queues a Schreier pair."""
+        pts, lo = lev.orbit, first
+        # a point's slot is written only in the layer that reaches it
+        first_seen = np.full(self.degree, _NEVER)
+        grown, pairs = [lev.orbit], [lev.pending[lev.cursor:]]
+        while len(pts):
+            gens = lev.gens[lo:]
+            imgs = np.empty((len(pts), len(gens)), dtype=DTYPE)
+            for j, g in enumerate(gens):
+                imgs[:, j] = g[pts]
+            imgs = imgs.ravel()
+            new = np.flatnonzero(lev.via[imgs] == -2)
+            np.minimum.at(first_seen, imgs[new], new)
+            new = new[first_seen[imgs[new]] == new]
+            rest = np.ones(len(imgs), dtype=bool)
+            rest[new] = False
+            at, k = np.divmod(new, len(gens))
+            pts_new = imgs[new]
+            lev.via[pts_new] = k + lo
+            lev.parent[pts_new] = pts[at]
+            at, k = np.divmod(np.flatnonzero(rest), len(gens))
+            queued = np.empty((len(at), 2), dtype=DTYPE)
+            queued[:, 0], queued[:, 1] = pts[at], k + lo
+            pairs.append(queued)
+            pts, lo = pts_new, 0
+            grown.append(pts)
+        lev.orbit = np.concatenate(grown)
+        lev.pending, lev.cursor = np.concatenate(pairs), 0
+
+    def _drop_pairs(self):
+        for lev in self.levels:
+            lev.pending, lev.cursor = _NO_PAIRS, 0
 
     def _transversal(self, lev, pt):
         """Permutation u with base^u = pt (None = identity)."""
@@ -276,18 +301,20 @@ class StabChain:
         left or the chain is complete."""
         while not self.complete:
             i = len(self.levels) - 1
-            while i >= 0 and not self.levels[i].pending:
+            while i >= 0 and self.levels[i].cursor == len(self.levels[i].pending):
                 i -= 1
             if i < 0:
+                self._drop_pairs()
                 return
             lev = self.levels[i]
-            pt, k = lev.pending.popleft()
-            u = self._transversal(lev, pt)
+            pt, k = lev.pending[lev.cursor]
+            lev.cursor += 1
+            u = self._transversal(lev, int(pt))
             s = lev.gens[k]
             w = s if u is None else s[u]
             resid, j = self._strip(w, i)
             if not is_identity(resid):
-                self._introduce(j, resid)
+                self._install(i + 1, j, [resid])
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +383,10 @@ class PermGroup:
         return [set(np.flatnonzero(labels == r).tolist()) for r in reps]
 
     def point_stabiliser(self, point):
-        movers = [g for g in self.gens if g[point] != point]
-        if not movers:
+        if all(g[point] == point for g in self.gens):
             return PermGroup(self.degree, self.gens, known_order=self.order())
         order = self.order()
-        ordered = movers + [g for g in self.gens if g[point] == point]
-        ch = StabChain(self.degree, ordered, base_hint=(int(point),), known_order=order)
+        ch = StabChain(self.degree, self.gens, base_hint=(int(point),), known_order=order)
         if ch.levels[0].base != point:
             raise GroupError("stabiliser chain failed to anchor at the point")
         stab_order = order // len(ch.levels[0].orbit)
@@ -478,7 +503,9 @@ def normal_closure(g: PermGroup, seeds) -> PermGroup:
             if ch.add(c):
                 closure.append(c)
                 queue.append(c)
-    return PermGroup(degree, closure, known_order=ch.order())
+    grp = PermGroup(degree, closure, known_order=ch.order())
+    grp._chain = ch
+    return grp
 
 
 def derived_subgroup(g: PermGroup) -> PermGroup:
@@ -553,32 +580,36 @@ def read_group_file(path) -> PermGroup:
     degree = None
     order = None
     gens = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(" ")
-            if head == "group":
-                name = rest.strip()
-            elif head == "degree":
-                degree = parse_ints([rest], path, lineno, GroupError)[0]
-                if not 1 <= degree <= MAX_ID:
-                    raise GroupError("%s:%d: degree %d out of range" % (path, lineno, degree))
-            elif head == "order":
-                order = parse_ints([rest], path, lineno, GroupError)[0]
-            elif head == "gen":
-                if degree is None:
-                    raise GroupError("%s:%d: gen before degree" % (path, lineno))
-                images = parse_ints(rest.split(), path, lineno, GroupError)
-                if len(images) != degree:
-                    raise GroupError("%s:%d: expected %d images" % (path, lineno, degree))
-                if sorted(images) != list(range(degree)):
-                    raise GroupError("%s:%d: not a permutation of 0..%d"
-                                     % (path, lineno, degree - 1))
-                gens.append(np.array(images, dtype=DTYPE))
-            else:
-                raise GroupError("%s:%d: unknown directive %r" % (path, lineno, head))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise GroupError("%s: not UTF-8 text (%s)" % (path, exc.reason)) from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        if head == "group":
+            name = rest.strip()
+        elif head == "degree":
+            degree = parse_ints([rest], path, lineno, GroupError)[0]
+            if not 1 <= degree <= MAX_ID:
+                raise GroupError("%s:%d: degree %d out of range" % (path, lineno, degree))
+        elif head == "order":
+            order = parse_ints([rest], path, lineno, GroupError)[0]
+        elif head == "gen":
+            if degree is None:
+                raise GroupError("%s:%d: gen before degree" % (path, lineno))
+            images = parse_ints(rest.split(), path, lineno, GroupError)
+            if len(images) != degree:
+                raise GroupError("%s:%d: expected %d images" % (path, lineno, degree))
+            if sorted(images) != list(range(degree)):
+                raise GroupError("%s:%d: not a permutation of 0..%d"
+                                 % (path, lineno, degree - 1))
+            gens.append(np.array(images, dtype=DTYPE))
+        else:
+            raise GroupError("%s:%d: unknown directive %r" % (path, lineno, head))
     if degree is None:
         raise GroupError("%s: missing degree" % path)
     grp = PermGroup(degree, gens, name=name)

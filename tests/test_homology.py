@@ -438,3 +438,13 @@ def test_lift_potentials_match_vertex_loop(base_pair_42, p):
         got = lp.action.group.gens
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_stabiliser_gens_are_the_lifted_generators(base_pair_42):
+    """Each stabiliser generator is the lifted group's own array, not a copy."""
+    graph, action = base_pair_42
+    (lp,) = minimal_admissible_covers(graph, action, 42 * 3, primes=[3])
+    fixers = [i for i, g in enumerate(action.group.gens) if g[0] == 0]
+    assert len(lp.stabiliser_gens) == len(fixers) > 0
+    lifted = lp.action.group.gens
+    assert all(s is lifted[i] for s, i in zip(lp.stabiliser_gens, fixers))

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,6 +290,129 @@ def test_unreached_known_order_keeps_its_one_chain(monkeypatch):
     assert g.contains(from_cycles(4, [(1, 3)]))
 
 
+def test_normal_closure_builds_one_chain(monkeypatch):
+    g = S(5, (0, 1, 2, 3, 4), (2, 3, 4))
+    g.order()
+    built = []
+    real = StabChain.__init__
+    monkeypatch.setattr(StabChain, "__init__",
+                        lambda self, *a, **k: built.append(a) or real(self, *a, **k))
+    closure = normal_closure(g, [from_cycles(5, [(0, 1, 2)])])
+    assert closure.order() == 60 and closure.contains(from_cycles(5, [(1, 2, 3)]))
+    assert len(built) == 1
+
+
+def _point_queue(gens, tree, first=0):
+    """The Schreier tree a point-by-point queue builds (oracle).  tree maps
+    each point of an orbit, in orbit order, to (depth, the point it was
+    reached from, the generator that reached it); generators first.. are
+    new.  They are applied to every point in turn, then every generator to
+    each point that joins, in (point, generator) order."""
+    tree = dict(tree)
+    queue = []
+    for x in list(tree):
+        for k in range(first, len(gens)):
+            y = int(gens[k][x])
+            if y not in tree:
+                tree[y] = (tree[x][0] + 1, x, k)
+                queue.append(y)
+    for x in queue:
+        for k, g in enumerate(gens):
+            y = int(g[x])
+            if y not in tree:
+                tree[y] = (tree[x][0] + 1, x, k)
+                queue.append(y)
+    return tree
+
+
+def _schreier_tree(lev):
+    """The same triple for each orbit point of a chain level, checking that
+    every tree edge is the generator it names."""
+    tree = {lev.base: (0, -1, -1)}
+    for x in map(int, lev.orbit):
+        if x != lev.base:
+            up, k = int(lev.parent[x]), int(lev.via[x])
+            assert int(lev.gens[k][up]) == x
+            tree[x] = (tree[up][0] + 1, up, k)
+    return tree
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), max_size=4))))
+@settings(max_examples=200, deadline=None)
+def test_schreier_trees_are_breadth_first(case):
+    n, gens = case
+    gens = [np.array(g, dtype=np.int32) for g in gens]
+    ch = StabChain(n, gens)
+    movers = [g for g in gens if np.any(g != np.arange(n))]
+    if not movers:
+        assert ch.levels == []
+        return
+    # level 0 holds the generators and is built in one breadth-first pass
+    lev = ch.levels[0]
+    assert lev.base == int(np.flatnonzero(movers[0] != np.arange(n))[0])
+    want = _point_queue(movers, {lev.base: (0, -1, -1)})
+    assert _schreier_tree(lev) == want
+    for lev in ch.levels:
+        # later levels grow as residues join them; each tree still spans
+        # exactly the orbit of the level's generators
+        orbit = _point_queue(lev.gens, {lev.base: (0, -1, -1)})
+        assert set(_schreier_tree(lev)) == set(orbit)
+        assert np.count_nonzero(lev.via != -2) == len(lev.orbit)
+
+
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.permutations(range(n)), st.permutations(range(n)))))
+@settings(max_examples=200, deadline=None)
+def test_orbit_extension_matches_point_queue(case):
+    n, a, b = case
+    ch = StabChain(n, [np.array(a, dtype=np.int32)])
+    if not ch.levels:
+        return
+    lev = ch.levels[0]
+    before = _schreier_tree(lev)
+    if ch.add(np.array(b, dtype=np.int32)):
+        assert _schreier_tree(lev) == _point_queue(lev.gens, before, first=1)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3),
+    st.lists(st.permutations(range(n)), min_size=1, max_size=4))))
+@settings(max_examples=200, deadline=None)
+def test_order_and_membership_match_sympy(case):
+    n, gens, probes = case
+    gens = [np.array(g, dtype=np.int32) for g in gens]
+    ref = PermutationGroup(_sympy_perms(gens))
+    for known in (None, ref.order()):
+        g = PermGroup(n, gens, known_order=known)
+        assert g.order() == ref.order()
+        for x in probes:
+            assert g.contains(np.array(x, dtype=np.int32)) == ref.contains(Permutation(x))
+        for x in gens:
+            assert g.contains(x)
+
+
+def test_chain_at_known_order_keeps_no_pairs():
+    gens = [from_cycles(7, [tuple(range(7))]), from_cycles(7, [(0, 1)])]
+    full = StabChain(7, gens, known_order=5040)
+    assert full.complete and full.order() == 5040
+    assert all(len(lev.pending) == 0 for lev in full.levels)
+    closed = StabChain(7, gens)
+    assert not closed.complete and closed.order() == 5040
+    assert all(len(lev.pending) == 0 for lev in closed.levels)
+
+
+def test_lifted_level0_tree_is_shallow(base_pair_42):
+    from hatd4.homology import minimal_admissible_covers
+
+    graph, action = base_pair_42
+    (lp,) = minimal_admissible_covers(graph, action, 42 * 251, primes=[251])
+    assert lp.action.group.order() == 251 * 336
+    tree = _schreier_tree(lp.action.group.chain().levels[0])
+    # sifting the generators in turn made this tree 1761 deep
+    assert max(depth for depth, _, _ in tree.values()) <= 200
+
+
 def test_stab_chain_add():
     ch = StabChain(4, [])
     assert ch.add(from_cycles(4, [(0, 1, 2, 3)]))
@@ -359,6 +485,46 @@ def test_catalog_rejects_wrong_order(tmp_path):
     path.write_text("group bad\ndegree 3\norder 5\ngen 1 2 0\n")
     with pytest.raises(GroupError, match="order"):
         read_group_file(path)
+
+
+_BAD = st.sampled_from(["", "x", "1.5", "-", "+2", "1_0", "0x3", "-1", "99999999999",
+                        "\x00", "\u0663", "\u00e9"])
+
+
+@st.composite
+def group_files(draw):
+    """The bytes of a group file of degree at most 5: lines built from its
+    directives, valid or not, and now and then a byte that is not UTF-8."""
+    deg = draw(st.integers(1, 5))
+    number = st.one_of(st.integers(0, 6).map(str), _BAD)
+    line = st.one_of(
+        st.just("degree %d" % deg),
+        number.map("degree {}".format),
+        st.one_of(st.integers(1, 120).map(str), _BAD).map("order {}".format),
+        st.permutations(range(deg)).map(lambda p: "gen " + " ".join(map(str, p))),
+        st.lists(number, max_size=6).map(lambda t: "gen " + " ".join(t)),
+        st.text(max_size=8).map("group {}".format),
+        st.sampled_from(["", "# note", "gen 0 # one image", "GEN 0", "degree3", "gen\t0"]),
+    )
+    lines = [x.encode() for x in draw(st.lists(line, max_size=8))]
+    if draw(st.booleans()):
+        lines.insert(0, b"degree %d" % deg)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        lines.insert(draw(st.integers(0, len(lines))), b"gen 0 \xff")
+    return draw(st.sampled_from([b"\n", b"\r\n"])).join(lines)
+
+
+@given(group_files())
+@settings(max_examples=400, deadline=None)
+def test_read_group_file_loads_or_raises_group_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.grp"
+        path.write_bytes(data)
+        try:
+            g = read_group_file(path)
+        except GroupError:
+            return
+        assert all(len(x) == g.degree for x in g.gens)
 
 
 def test_catalog_orders(catalog):
