@@ -14,11 +14,18 @@ generators the caller passes in (McKay & Piperno, "Practical graph
 isomorphism, II", 2014), such as the vertex parts of a group already known
 to act on the graph.  Each node on that path keeps its orbit labels and
 rebuilds them only when a new automorphism has been found.
+
+Skeleton maps reach the darts through one dart table per graph and arc
+set: the darts sorted by class (semiedges, or links and loops, of one arc
+flag from one vertex to another), then by edge.  A vertex map lifts by
+sending each class to its image class rank for rank; the same table gives
+the generators and the order of the group of dart maps fixing every vertex.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from math import factorial
 
 import numpy as np
 
@@ -486,45 +493,75 @@ def isomorphism(g1, g2):
     return vmap.astype(DTYPE), dmap
 
 
-def extend_vertex_map_to_darts(g1, g2, vmap):
+class _DartTable:
+    """The darts of a graph sorted into classes: a class is the semiedges,
+    or the links and loops, of one arc flag from one vertex to another.
+
+    ``order`` lists the darts by (class key, edge id, dart id), ``key``
+    holds the class key at each position, and ``start`` and ``stop`` bound
+    the class of each position.  Sorting by edge id lines class (u, w) up
+    with class (w, u), so the darts at equal ranks are inverses; without
+    arcs the two darts of a loop share one class, at ranks 2r and 2r+1.
+    """
+
+    __slots__ = ("order", "key", "start", "stop")
+
+    def __init__(self, g, arcs):
+        m = g.m
+        flag = np.zeros(m, dtype=np.uint64) if arcs is None else arcs.astype(np.uint64)
+        kind = (g.inv != np.arange(m)).astype(np.uint64)  # 0 semiedge, 1 loop or link
+        key = _class_keys(g.n, g.beg, g.end(), kind * 2 + flag)
+        # lexsort is stable: darts of one edge keep dart id order
+        self.order = np.lexsort((g.edge_index(), key)).astype(DTYPE)
+        self.key = key[self.order]
+        new = np.ones(m, dtype=bool)
+        new[1:] = self.key[1:] != self.key[:-1]
+        first = np.flatnonzero(new)
+        cls = np.cumsum(new) - 1
+        self.start = first[cls]
+        self.stop = np.append(first[1:], m)[cls]
+
+
+def _class_keys(n, beg, end, low):
+    """Class key (beg * n + end) * 4 + low, in uint64 so that any two
+    vertex ids below 2^31 fit."""
+    n = np.uint64(n)
+    return (beg.astype(np.uint64) * n + end.astype(np.uint64)) * np.uint64(4) + low
+
+
+def dart_table(g, arcs=None) -> _DartTable:
+    """The dart table of g, with the arc flag of a digraph's arc set arcs
+    (one dart of each edge) in every class key; cached per (graph, arcs)."""
+    if arcs is not None:
+        arcs = np.asarray(arcs, dtype=bool)
+        if np.any(arcs == arcs[g.inv]):
+            raise GraphError("arc set must contain exactly one dart of each edge")
+    key = ("darts", None if arcs is None else arcs.tobytes())
+    hit = g._cache.get(key)
+    if hit is None:
+        hit = g._cache[key] = _DartTable(g, arcs)
+    return hit
+
+
+def extend_vertex_map_to_darts(g1, g2, vmap, arcs=None):
     """Extend a skeleton isomorphism to a dart bijection commuting with
-    beg and inv, or None if the multiplicity structure disagrees."""
+    beg and inv, or None if the multiplicity structure disagrees.  Each dart
+    goes to the dart of the same rank in the image of its class.  With an
+    arc set arcs of both graphs, the arc flag is part of every class key,
+    so arcs go to arcs."""
     vmap = np.asarray(vmap, dtype=DTYPE)
-    n, m = g1.n, g1.m
-    if g2.n != n or g2.m != m:
+    m = g1.m
+    if g2.n != g1.n or g2.m != m:
         return None
-    dmap = np.full(m, -1, dtype=DTYPE)
-    groups1 = _dart_classes(g1)
-    groups2 = _dart_classes(g2)
-    for key, darts1 in groups1.items():
-        kind = key[0]
-        if kind == "semi":
-            tkey = ("semi", int(vmap[key[1]]))
-        elif kind == "loop":
-            tkey = ("loop", int(vmap[key[1]]))
-        else:
-            u, w = int(vmap[key[1]]), int(vmap[key[2]])
-            tkey = ("link", min(u, w), max(u, w))
-        darts2 = groups2.get(tkey)
-        if darts2 is None or len(darts2) != len(darts1):
-            return None
-        if kind == "link":
-            # use whichever dart of the matched target edge starts at the
-            # image of the source dart's initial vertex
-            oriented = []
-            for x, y in zip(darts1, darts2):
-                want = int(vmap[g1.beg[x]])
-                if int(g2.beg[y]) != want:
-                    y = int(g2.inv[y])
-                if int(g2.beg[y]) != want:
-                    return None
-                oriented.append(y)
-            darts2 = oriented
-        for x, y in zip(darts1, darts2):
-            dmap[x] = y
-            dmap[g1.inv[x]] = g2.inv[y]
-    if np.any(dmap < 0):
+    t1, t2 = dart_table(g1, arcs), dart_table(g2, arcs)
+    x = t1.order
+    want = _class_keys(g1.n, vmap[g1.beg[x]], vmap[g1.end()[x]], t1.key % np.uint64(4))
+    at = np.minimum(np.searchsorted(t2.key, want), m - 1)
+    if not (np.array_equal(t2.key[at], want)
+            and np.array_equal(t2.stop[at] - at, t1.stop - t1.start)):
         return None
+    dmap = np.empty(m, dtype=DTYPE)
+    dmap[x] = t2.order[at + np.arange(m) - t1.start]
     # verify the morphism laws
     if not np.array_equal(g2.beg[dmap], vmap[g1.beg]):
         return None
@@ -533,66 +570,37 @@ def extend_vertex_map_to_darts(g1, g2, vmap):
     return dmap
 
 
-def _dart_classes(g):
-    """Positive darts grouped by (kind, endpoints), sorted within groups.
-
-    Computed once per graph and cached; callers must not mutate the dict
-    (its values are tuples)."""
-    hit = g._cache.get("dart_classes")
-    if hit is not None:
-        return hit
-    groups = {}
-    ends = g.end()
-    for x in map(int, g.edges()):
-        y = int(g.inv[x])
-        u, w = int(g.beg[x]), int(ends[x])
-        if y == x:
-            key = ("semi", u)
-        elif u == w:
-            key = ("loop", u)
-        else:
-            key = ("link", min(u, w), max(u, w))
-        groups.setdefault(key, []).append(x)
-    hit = {key: tuple(darts) for key, darts in groups.items()}
-    g._cache["dart_classes"] = hit
-    return hit
-
-
-def local_dart_gens(g):
-    """Dart permutations generating the kernel of skeleton projection:
-    loop flips, loop swaps, semiedge swaps, parallel-link swaps."""
-    gens = []
-    ends = g.end()
-    by_key = _dart_classes(g)
-    ident = np.arange(g.m, dtype=DTYPE)
-    for key, darts in by_key.items():
-        kind = key[0]
-        if kind == "semi":
-            for a, b in zip(darts, darts[1:]):
-                p = ident.copy()
-                p[a], p[b] = b, a
-                gens.append(p)
-        elif kind == "loop":
-            first = darts[0]
-            p = ident.copy()
-            p[first], p[g.inv[first]] = g.inv[first], first
-            gens.append(p)
-            for a, b in zip(darts, darts[1:]):
-                p = ident.copy()
-                p[a], p[b] = b, a
-                ia, ib = g.inv[a], g.inv[b]
-                p[ia], p[ib] = ib, ia
-                gens.append(p)
-        else:
-            for a, b in zip(darts, darts[1:]):
-                if ends[a] != ends[b]:
-                    # parallel swap must match orientation
-                    b_use = int(g.inv[b])
-                else:
-                    b_use = b
-                p = ident.copy()
-                p[a], p[b_use] = b_use, a
-                ia, ib = g.inv[a], g.inv[b_use]
-                p[ia], p[ib] = ib, ia
-                gens.append(p)
-    return [p for p in gens if not np.array_equal(p, ident)]
+def local_dart_gens(g, arcs=None):
+    """(generators, order) of the group of dart automorphisms that fix
+    every vertex (and the arc set arcs): swaps of adjacent edges within each
+    class, and without arcs a flip of the first loop of each class of
+    loops.  Its order is k! per class of k edges, times 2^k for a class of
+    k unoriented loops.  Generators come in the order of the first edge of
+    their class, the flip first."""
+    t = dart_table(g, arcs)
+    i = np.arange(g.m)
+    loops = (g.beg == g.end()) & (g.inv != i)
+    unoriented = loops[t.order] if arcs is None else np.zeros(g.m, dtype=bool)
+    step = 1 + unoriented
+    # of the classes (u, w) and (w, u), the one whose first dart is the
+    # smaller dart of its edge
+    first = t.order[t.start]
+    primary = first <= g.inv[first]
+    heads = np.flatnonzero(primary & (i == t.start))
+    flips = heads[unoriented[heads]]
+    swaps = np.flatnonzero(primary & ((i - t.start) % step == 0) & (i + step < t.stop))
+    at = np.concatenate([flips, swaps])
+    a = t.order[at]
+    b = np.concatenate([g.inv[t.order[flips]], t.order[swaps + step[swaps]]])
+    sub = np.concatenate([np.full(len(flips), -1), (swaps - t.start[swaps]) // step[swaps]])
+    pick = np.lexsort((sub, g.edge_index()[first[at]]))
+    a, b = a[pick], b[pick]
+    gens = np.tile(i.astype(DTYPE), (len(a), 1))
+    rows = np.arange(len(a))
+    gens[rows, a], gens[rows, b] = b, a
+    gens[rows, g.inv[a]], gens[rows, g.inv[b]] = g.inv[b], g.inv[a]
+    sizes = (t.stop - t.start)[heads] // step[heads]
+    order = 2 ** int(sizes[unoriented[heads]].sum())
+    for k in sizes[sizes > 1].tolist():
+        order *= factorial(k)
+    return list(gens), order

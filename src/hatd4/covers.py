@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hatd4 import gfp
-from hatd4.graphs import DTYPE, Graph, GraphError, parse_ints
+from hatd4.graphs import DTYPE, MAX_ID, Graph, GraphError, parse_ints, read_lines
 from hatd4.perms import PermGroup, inverse, is_semiregular, orbit_labels
 from hatd4.symmetry import GraphAction
 
@@ -276,32 +276,33 @@ def translation_action(zeta: VoltageAssignment, cover: Graph) -> GraphAction:
 def read_voltages(path, base: Graph) -> VoltageAssignment:
     p = d = None
     volt = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if p is None:
-                if parts[0] != "voltage" or len(parts) != 3:
-                    raise CoverError("%s:%d: expected 'voltage <p> <d>'" % (path, lineno))
-                p, d = parse_ints(parts[1:], path, lineno, CoverError)
-                if p < 2 or d < 0:
-                    raise CoverError("%s:%d: bad prime or dimension" % (path, lineno))
-                volt = np.zeros((base.m, d), dtype=np.int64)
-                continue
-            if len(parts) != d + 1:
-                raise CoverError("%s:%d: expected dart id and %d coordinates"
-                                 % (path, lineno, d))
-            x, *coords = parse_ints(parts, path, lineno, CoverError)
-            if not (0 <= x < base.m):
-                raise CoverError("%s:%d: dart %d out of range" % (path, lineno, x))
-            if x > int(base.inv[x]):
-                raise CoverError("%s:%d: voltages belong on the smaller dart of an edge"
-                                 % (path, lineno))
-            vec = np.array(coords, dtype=np.int64) % p
-            volt[x] = vec
-            volt[base.inv[x]] = (-vec) % p
+    for lineno, raw in enumerate(read_lines(path, CoverError), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if p is None:
+            if parts[0] != "voltage" or len(parts) != 3:
+                raise CoverError("%s:%d: expected 'voltage <p> <d>'" % (path, lineno))
+            p, d = parse_ints(parts[1:], path, lineno, CoverError)
+            # more coordinates than edges never give a connected cover
+            if not (2 <= p <= MAX_ID and 0 <= d <= len(base.edges())):
+                raise CoverError("%s:%d: need 2 <= p <= %d and 0 <= d <= %d"
+                                 % (path, lineno, MAX_ID, len(base.edges())))
+            volt = np.zeros((base.m, d), dtype=np.int64)
+            continue
+        if len(parts) != d + 1:
+            raise CoverError("%s:%d: expected dart id and %d coordinates"
+                             % (path, lineno, d))
+        x, *coords = parse_ints(parts, path, lineno, CoverError)
+        if not (0 <= x < base.m):
+            raise CoverError("%s:%d: dart %d out of range" % (path, lineno, x))
+        if x > int(base.inv[x]):
+            raise CoverError("%s:%d: voltages belong on the smaller dart of an edge"
+                             % (path, lineno))
+        vec = np.array([c % p for c in coords], dtype=np.int64)
+        volt[x] = vec
+        volt[base.inv[x]] = (-vec) % p
     if p is None:
         raise CoverError("%s: empty voltage file" % path)
     return VoltageAssignment(base, p, d, volt)

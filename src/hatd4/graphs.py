@@ -32,6 +32,16 @@ def parse_ints(tokens, path, lineno, error=GraphError):
                     % (path, lineno, " ".join(tokens))) from None
 
 
+def read_lines(path, error=GraphError):
+    """The lines of a text file; a byte that is not UTF-8 raises `error`
+    naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise error("%s: not UTF-8 text (%s)" % (path, exc.reason)) from None
+
+
 class Graph:
     __slots__ = ("n", "m", "beg", "inv", "_cache")
 
@@ -326,43 +336,42 @@ def read_graph(path) -> Graph:
     n = m = None
     darts = {}  # dart -> (beg, inv); arrays are built once every line is read
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if mode is None:
-                if parts[0] == "graph" and len(parts) == 3:
-                    mode = "graph"
-                    n, m = parse_ints(parts[1:], path, lineno)
-                elif parts[0] == "simple" and len(parts) == 2:
-                    mode = "simple"
-                    n = parse_ints(parts[1:], path, lineno)[0]
-                else:
-                    raise GraphError("%s:%d: expected 'graph <n> <m>' or 'simple <n>'"
-                                     % (path, lineno))
-                if not (1 <= n <= MAX_ID and 0 <= (m or 0) <= MAX_ID):
-                    raise GraphError("%s:%d: need 1..%d vertices and 0..%d darts"
-                                     % (path, lineno, MAX_ID, MAX_ID))
-                continue
-            if mode == "simple":
-                if len(parts) != 2:
-                    raise GraphError("%s:%d: expected '<u> <v>'" % (path, lineno))
-                edges.append(parse_ints(parts, path, lineno))
-                continue
-            if len(parts) != 3:
-                raise GraphError("%s:%d: expected '<dart> <beg> <inv>'" % (path, lineno))
-            x, b, y = parse_ints(parts, path, lineno)
-            if not (0 <= x < m):
-                raise GraphError("%s:%d: dart id %d out of range" % (path, lineno, x))
-            if x in darts:
-                raise GraphError("%s:%d: duplicate dart %d" % (path, lineno, x))
-            if not (0 <= b < n):
-                raise GraphError("%s:%d: beg %d out of range" % (path, lineno, b))
-            if not (0 <= y < m):
-                raise GraphError("%s:%d: inv %d out of range" % (path, lineno, y))
-            darts[x] = (b, y)
+    for lineno, raw in enumerate(read_lines(path), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if mode is None:
+            if parts[0] == "graph" and len(parts) == 3:
+                mode = "graph"
+                n, m = parse_ints(parts[1:], path, lineno)
+            elif parts[0] == "simple" and len(parts) == 2:
+                mode = "simple"
+                n = parse_ints(parts[1:], path, lineno)[0]
+            else:
+                raise GraphError("%s:%d: expected 'graph <n> <m>' or 'simple <n>'"
+                                 % (path, lineno))
+            if not (1 <= n <= MAX_ID and 0 <= (m or 0) <= MAX_ID):
+                raise GraphError("%s:%d: need 1..%d vertices and 0..%d darts"
+                                 % (path, lineno, MAX_ID, MAX_ID))
+            continue
+        if mode == "simple":
+            if len(parts) != 2:
+                raise GraphError("%s:%d: expected '<u> <v>'" % (path, lineno))
+            edges.append(parse_ints(parts, path, lineno))
+            continue
+        if len(parts) != 3:
+            raise GraphError("%s:%d: expected '<dart> <beg> <inv>'" % (path, lineno))
+        x, b, y = parse_ints(parts, path, lineno)
+        if not (0 <= x < m):
+            raise GraphError("%s:%d: dart id %d out of range" % (path, lineno, x))
+        if x in darts:
+            raise GraphError("%s:%d: duplicate dart %d" % (path, lineno, x))
+        if not (0 <= b < n):
+            raise GraphError("%s:%d: beg %d out of range" % (path, lineno, b))
+        if not (0 <= y < m):
+            raise GraphError("%s:%d: inv %d out of range" % (path, lineno, y))
+        darts[x] = (b, y)
     if mode is None:
         raise GraphError("%s: empty graph file" % path)
     if mode == "simple":

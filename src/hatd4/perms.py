@@ -26,11 +26,12 @@ order."""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
-from hatd4.graphs import MAX_ID, parse_ints
+from hatd4.graphs import MAX_ID, parse_ints, read_lines
 
 DTYPE = np.int32
 ENUMERATION_CAP = 200_000_000  # most entries (order x degree) elements() lists
@@ -66,20 +67,9 @@ def inverse(p):
 
 
 def perm_order(p):
-    order = 1
-    n = len(p)
-    seen = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = int(p[j])
-            length += 1
-        order = int(np.lcm(order, length))
-    return order
+    """The lcm of the cycle lengths of p, as an exact integer."""
+    lengths = np.bincount(orbit_labels(len(p), [np.asarray(p)]))
+    return math.lcm(*np.unique(lengths[lengths > 0]).tolist())
 
 
 def from_cycles(n, cycles):
@@ -580,12 +570,7 @@ def read_group_file(path) -> PermGroup:
     degree = None
     order = None
     gens = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise GroupError("%s: not UTF-8 text (%s)" % (path, exc.reason)) from None
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(read_lines(path, GroupError), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

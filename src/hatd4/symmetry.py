@@ -3,24 +3,25 @@ the correspondence between half-arc-transitive pairs and 2-valent digraphs.
 
 A group acts on a graph through permutations of the disjoint union of
 vertices and darts (vertices first); compatibility with beg and inv is
-checked generator by generator.
+checked generator by generator.  The automorphism group of a graph, and of
+a digraph (the same with its arc set kept), is built one way: the skeleton
+automorphisms the canonical search finds, lifted to the darts, and the
+dart maps that fix every vertex, with the order known from both parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
 from hatd4 import canon
-from hatd4.graphs import Graph, GraphError, structural_profile
-from hatd4.perms import DTYPE, PermGroup, StabChain, is_dihedral_8, orbit_labels
+from hatd4.graphs import Graph, GraphError
+from hatd4.perms import DTYPE, PermGroup, is_dihedral_8, orbit_labels
 
 ARC_TRANSITIVE = "ArcTransitive"
 HALF_ARC_TRANSITIVE = "HalfArcTransitive"
 OTHER = "Other"
-DIGRAPH_ENUMERATION_CAP = 1_000_000  # largest Aut(g) digraph_aut enumerates
 
 
 class GraphAction:
@@ -50,10 +51,6 @@ class GraphAction:
     def split(self, perm):
         """(vertex part, dart part) of a combined permutation."""
         return self._split_static(self.graph, perm)
-
-    def dart_gens(self):
-        n = self.graph.n
-        return [g[n:] - n for g in self.group.gens]
 
     @classmethod
     def from_vertex_dart(cls, graph, pairs, known_order=None):
@@ -104,38 +101,26 @@ def aut_group(g: Graph) -> GraphAction:
     """Full automorphism group acting on vertices + darts."""
     if not g.is_connected():
         raise GraphError("automorphism search requires a connected graph")
-    return _lifted_action(g, canon.canonical(g).aut_gens,
-                          canon.local_dart_gens(g), _local_order(g))
+    return _lifted_action(g)
 
 
-def _lifted_action(g: Graph, vmaps, local=(), local_order=1) -> GraphAction:
-    """The group generated by the skeleton automorphisms vmaps, each lifted
-    to the darts, and the vertex-fixing dart maps local; local_order is the
-    order of the group that local generates."""
+def _lifted_action(g: Graph, arcs=None) -> GraphAction:
+    """The automorphisms of g that keep the arc set arcs: the skeleton
+    automorphisms of the canonical search, each lifted to the darts, and
+    the dart maps that fix every vertex.  The order is known: the
+    skeleton group's times the local group's."""
+    vmaps = canon.canonical(g, arcs=arcs).aut_gens
     pairs = []
     for vmap in vmaps:
-        dmap = canon.extend_vertex_map_to_darts(g, g, vmap)
+        dmap = canon.extend_vertex_map_to_darts(g, g, vmap, arcs)
         if dmap is None:
             raise AssertionError("skeleton automorphism failed to lift to darts")
         pairs.append((vmap, dmap))
+    local, local_order = canon.local_dart_gens(g, arcs)
     ident = np.arange(g.n, dtype=DTYPE)
     pairs += [(ident, dmap) for dmap in local]
     skel_order = PermGroup(g.n, vmaps).order() if vmaps else 1
     return GraphAction.from_vertex_dart(g, pairs, known_order=skel_order * local_order)
-
-
-def _local_order(g: Graph):
-    """Order of the group of dart automorphisms fixing every vertex."""
-    order = 1
-    for key, darts in canon._dart_classes(g).items():
-        k = len(darts)
-        if key[0] == "semi":
-            order *= factorial(k)
-        elif key[0] == "loop":
-            order *= factorial(k) * 2**k
-        else:
-            order *= factorial(k)
-    return order
 
 
 def transitivity_profile(g: Graph, action: GraphAction) -> TransitivityProfile:
@@ -168,32 +153,9 @@ def extract_digraph(g: Graph, action: GraphAction) -> Digraph:
 
 def digraph_aut(dig: Digraph) -> PermGroup:
     """Subgroup of Aut(underlying) preserving the arc set, on vertices + darts."""
-    g = dig.underlying
-    if not g.is_connected():
+    if not dig.underlying.is_connected():
         raise GraphError("digraph automorphisms require a connected graph")
-    prof = structural_profile(g)
-    if prof.simple:
-        action = _lifted_action(g, canon.canonical(g, arcs=dig.arcs).aut_gens)
-        for dmap in action.dart_gens():
-            if not np.array_equal(np.sort(np.nonzero(dig.arcs)[0]),
-                                  np.sort(dmap[dig.arcs])):
-                raise AssertionError("directed refinement produced a non-arc map")
-        return action.group
-    full = aut_group(g)
-    if full.group.order() > DIGRAPH_ENUMERATION_CAP:
-        raise GraphError("non-simple digraph automorphism search beyond cap")
-    els, _ = full.group.elements()
-    keeps_arcs = dig.arcs[els[:, np.nonzero(dig.arcs)[0] + g.n] - g.n]
-    kept = els[np.all(keeps_arcs, axis=1)]
-    # generators: the kept elements that grow a chain, until it holds them all
-    chain = StabChain(g.n + g.m, [])
-    grew = []
-    for x in kept:
-        if chain.order() == len(kept):
-            break
-        if chain.add(x):
-            grew.append(x)
-    return PermGroup(g.n + g.m, grew, known_order=len(kept))
+    return _lifted_action(dig.underlying, dig.arcs).group
 
 
 def is_relevant_pair(g: Graph, action: GraphAction) -> bool:

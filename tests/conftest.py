@@ -5,9 +5,24 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hatd4 import census
 from hatd4.graphs import Graph, from_simple_edges, read_graph
+
+
+# tokens an input file may hold where a number belongs
+BAD_TOKENS = st.sampled_from(["", "x", "1.5", "-", "+2", "1_0", "0x3", "-1", "99999999999",
+                              "\x00", "\u0663", "\u00e9"])
+
+
+def file_bytes(draw, lines):
+    """The drawn lines joined into file bytes; one file in ten gets a line
+    holding a byte that is not UTF-8."""
+    lines = [x.encode() for x in lines]
+    if draw(st.sampled_from([False] * 9 + [True])):
+        lines.insert(draw(st.integers(0, len(lines))), b"0 \xff")
+    return draw(st.sampled_from([b"\n", b"\r\n"])).join(lines)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,5 @@
 """Partition-backtrack search seeded with known automorphisms, the cached dart
-classes, the breadth-first spanning tree and the structural profile."""
+table, the breadth-first spanning tree and the structural profile."""
 
 from __future__ import annotations
 
@@ -200,12 +200,29 @@ def test_seed_that_is_not_an_automorphism_raises():
         canon.canonical(fresh(c5)).cert
 
 
-def test_dart_classes_cached_and_immutable():
-    g, _ = circulant(6, [1, 3], 1, 1)
-    classes = canon._dart_classes(g)
-    assert canon._dart_classes(g) is classes
-    assert all(isinstance(d, tuple) for d in classes.values())
-    assert sum(len(d) for d in classes.values()) == len(g.edges())
+def test_dart_table_cached_per_graph_and_arcs():
+    g, arcs = circulant(6, [1, 2], 2, 0)
+    plain = canon.dart_table(g)
+    assert canon.dart_table(g) is plain
+    directed = canon.dart_table(g, arcs)
+    assert directed is not plain and canon.dart_table(g, arcs.copy()) is directed
+    darts = np.arange(g.m)
+    for t in (plain, directed):
+        # every dart once, in classes of equal keys, ascending
+        assert np.array_equal(np.sort(t.order), darts)
+        assert np.all(t.key[1:] >= t.key[:-1])
+        assert np.all((t.start <= darts) & (darts < t.stop))
+        assert np.array_equal(t.key[t.start], t.key) and np.array_equal(t.key[t.stop - 1], t.key)
+        inner = t.start > 0
+        assert np.all(t.key[t.start[inner] - 1] != t.key[inner])
+    # without arcs the two darts of each loop are one class; with them, two
+    loops = (g.beg == g.end()) & (g.inv != darts)
+    for t, together in ((plain, True), (directed, False)):
+        key = np.empty(g.m, dtype=t.key.dtype)
+        key[t.order] = t.key
+        assert np.all((key[loops] == key[g.inv[loops]]) == together)
+    with pytest.raises(GraphError, match="one dart"):
+        canon.dart_table(g, np.ones(g.m, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,23 @@ def test_autgroup_holt(capsys, holt_path):
     out = capsys.readouterr().out
     assert "aut_order 54" in out
     assert "vertex_stabiliser_order 2" in out
+
+
+# sha256 of `hatd4 autgroup --gens` output: the generators and their order
+# are part of the output, so a change in the dart lift or the local
+# generators shows here
+@pytest.mark.parametrize("name, digest", [
+    ("holt", "815208915cbebf7c967e772168645be66c0f4cc41c521460fb967375f1dc2814"),
+    ("doubled_cycle_5", "ea9e1c5fb8ba31e5763156a5eacd7390e76b2c9b4d7c192c9664d4354f1cd353"),
+])
+def test_autgroup_gens_pinned(tmp_path, capsys, holt_path, name, digest):
+    path = holt_path
+    if name != "holt":
+        path = tmp_path / "dc5.graph"
+        write_graph(doubled_cycle(5), path)
+    assert main(["autgroup", "--gens", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 def test_quotient_cli(tmp_path, capsys):
@@ -134,6 +153,24 @@ def test_out_of_range_input_exit_code(tmp_path, capsys, command, text, where):
     path = tmp_path / "input.txt"
     path.write_text(text)
     _check_input_error(path, capsys, command, where)
+
+
+def test_non_utf8_graph_exit_code(tmp_path, capsys):
+    path = tmp_path / "input.graph"
+    path.write_bytes(b"graph 1 0\n\xff\n")
+    _check_input_error(path, capsys, "classify", ": not UTF-8")
+
+
+def test_non_utf8_voltage_exit_code(tmp_path, capsys, monkeypatch):
+    """No command reads a voltage file yet; one that did would turn the
+    reader's CoverError into exit code 1 like this."""
+    from hatd4 import cli
+    from hatd4.covers import read_voltages
+
+    path = tmp_path / "input.volt"
+    path.write_bytes(b"voltage 3 1\n0 \xff\n")
+    monkeypatch.setattr(cli, "read_graph", lambda p: read_voltages(p, doubled_cycle(2)))
+    _check_input_error(path, capsys, "classify", ": not UTF-8")
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -1,8 +1,12 @@
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatd4 import canon
 from hatd4.covers import (CoverError, LemmaNQReport, Projection,
@@ -17,6 +21,7 @@ from hatd4.graphs import certificate, doubled_cycle, from_simple_edges
 from hatd4.perms import PermGroup
 from hatd4.symmetry import (HALF_ARC_TRANSITIVE, GraphAction, aut_group,
                             transitivity_profile)
+from tests.conftest import BAD_TOKENS, file_bytes
 
 
 def cycle(n):
@@ -275,6 +280,42 @@ def test_voltage_file_reports_bad_lines(tmp_path, text, line):
     path.write_text(text)
     with pytest.raises(CoverError, match=re.escape("%s:%d:" % (path, line))):
         read_voltages(path, cycle(5))
+
+
+@st.composite
+def voltage_files(draw):
+    """The bytes of a voltage file over the 5-cycle (darts 0..9, the even
+    one of each edge the smaller): lines built from its directives, valid or
+    not, and now and then a byte that is not UTF-8."""
+    d = draw(st.integers(0, 3))
+    number = st.one_of(st.integers(-3, 12).map(str), BAD_TOKENS,
+                       st.just("99999999999999999999"))
+    line = st.one_of(
+        st.lists(number, max_size=3).map(lambda t: "voltage " + " ".join(t)),
+        st.tuples(st.integers(0, 10), st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+        .map(lambda t: " ".join(map(str, [t[0], *t[1]]))),
+        st.lists(number, max_size=4).map(" ".join),
+        st.sampled_from(["", "# note", "0 1 # voltage", "VOLTAGE 3 1", "voltage\t3\t1"]),
+    )
+    lines = draw(st.lists(line, max_size=8))
+    if draw(st.booleans()):
+        lines.insert(0, "voltage %d %d" % (draw(st.sampled_from([2, 3, 5])), d))
+    return file_bytes(draw, lines)
+
+
+@given(voltage_files())
+@settings(max_examples=400, deadline=None)
+def test_read_voltages_loads_or_raises_cover_error(data):
+    base = cycle(5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.volt"
+        path.write_bytes(data)
+        try:
+            zeta = read_voltages(path, base)
+        except CoverError:
+            return
+        assert zeta.volt.shape == (base.m, zeta.d)
+        assert np.all((zeta.volt >= 0) & (zeta.volt < zeta.p))
 
 
 def test_projection_validation():

@@ -1,4 +1,6 @@
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hatd4.graphs import (DoubledCycleForm, FourSemiedgesForm, GraphError,
                           classify_nonsimple_tetravalent_et, doubled_cycle,
                           four_semiedge_vertex, from_simple_edges, read_graph,
                           structural_profile, write_graph)
-from tests.conftest import random_simple_connected, relabel_graph
+from tests.conftest import BAD_TOKENS, file_bytes, random_simple_connected, relabel_graph
 
 
 def test_triangle_basics():
@@ -184,3 +186,40 @@ def test_graph_io_rejects_bad_numbers(tmp_path, text, line):
     path.write_text(text)
     with pytest.raises(GraphError, match="bad.graph:%d:" % line):
         read_graph(path)
+
+
+@st.composite
+def graph_files(draw):
+    """The bytes of a graph file with at most 4 vertices and 6 darts: lines
+    built from its directives, valid or not, and now and then a byte that is
+    not UTF-8."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    number = st.one_of(st.integers(0, 6).map(str), BAD_TOKENS)
+    line = st.one_of(
+        st.tuples(st.integers(0, m), st.integers(0, n), st.integers(0, m)).map(
+            lambda t: "%d %d %d" % t),
+        st.tuples(st.integers(0, n), st.integers(0, n)).map(lambda t: "%d %d" % t),
+        st.lists(number, max_size=4).map(" ".join),
+        st.lists(number, max_size=3).map(lambda t: "graph " + " ".join(t)),
+        st.lists(number, max_size=2).map(lambda t: "simple " + " ".join(t)),
+        st.sampled_from(["", "# note", "0 0 1 # dart", "GRAPH 1 0", "graph\t1\t0"]),
+    )
+    lines = draw(st.lists(line, max_size=8))
+    header = draw(st.sampled_from(["graph %d %d" % (n, m), "simple %d" % n, None]))
+    if header:
+        lines.insert(0, header)
+    return file_bytes(draw, lines)
+
+
+@given(graph_files())
+@settings(max_examples=400, deadline=None)
+def test_read_graph_loads_or_raises_graph_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.graph"
+        path.write_bytes(data)
+        try:
+            g = read_graph(path)
+        except GraphError:
+            return
+        assert len(g.beg) == len(g.inv) == g.m
+        assert np.array_equal(g.inv[g.inv], np.arange(g.m))

@@ -1,3 +1,4 @@
+import math
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hatd4.perms import (GroupError, PermGroup, StabChain, compose,
                          is_dihedral_8, is_elementary_abelian, is_semiregular,
                          is_solvable, normal_closure, orbit_labels, perm_order,
                          write_group_file, read_group_file)
+from tests.conftest import BAD_TOKENS, file_bytes
 
 
 def S(n, *cycles_list):
@@ -470,6 +472,17 @@ def test_orbit_labels_match_bfs(case):
 def test_perm_order():
     assert perm_order(from_cycles(6, [(0, 1, 2), (3, 4)])) == 6
     assert perm_order(identity_perm(5)) == 1
+    # cycles of the first 16 primes: an order far beyond 2^63, kept exact
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    starts = np.cumsum([0] + primes)
+    big = from_cycles(int(starts[-1]), [tuple(range(a, b)) for a, b in zip(starts, starts[1:])])
+    assert perm_order(big) == math.prod(primes) > 2**63
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))))
+@settings(max_examples=200, deadline=None)
+def test_perm_order_matches_sympy(p):
+    assert perm_order(np.array(p, dtype=np.int32)) == Permutation(p).order()
 
 
 def test_catalog_roundtrip(tmp_path, catalog):
@@ -487,31 +500,25 @@ def test_catalog_rejects_wrong_order(tmp_path):
         read_group_file(path)
 
 
-_BAD = st.sampled_from(["", "x", "1.5", "-", "+2", "1_0", "0x3", "-1", "99999999999",
-                        "\x00", "\u0663", "\u00e9"])
-
-
 @st.composite
 def group_files(draw):
     """The bytes of a group file of degree at most 5: lines built from its
     directives, valid or not, and now and then a byte that is not UTF-8."""
     deg = draw(st.integers(1, 5))
-    number = st.one_of(st.integers(0, 6).map(str), _BAD)
+    number = st.one_of(st.integers(0, 6).map(str), BAD_TOKENS)
     line = st.one_of(
         st.just("degree %d" % deg),
         number.map("degree {}".format),
-        st.one_of(st.integers(1, 120).map(str), _BAD).map("order {}".format),
+        st.one_of(st.integers(1, 120).map(str), BAD_TOKENS).map("order {}".format),
         st.permutations(range(deg)).map(lambda p: "gen " + " ".join(map(str, p))),
         st.lists(number, max_size=6).map(lambda t: "gen " + " ".join(t)),
         st.text(max_size=8).map("group {}".format),
         st.sampled_from(["", "# note", "gen 0 # one image", "GEN 0", "degree3", "gen\t0"]),
     )
-    lines = [x.encode() for x in draw(st.lists(line, max_size=8))]
+    lines = draw(st.lists(line, max_size=8))
     if draw(st.booleans()):
-        lines.insert(0, b"degree %d" % deg)
-    if draw(st.sampled_from([False] * 9 + [True])):
-        lines.insert(draw(st.integers(0, len(lines))), b"gen 0 \xff")
-    return draw(st.sampled_from([b"\n", b"\r\n"])).join(lines)
+        lines.insert(0, "degree %d" % deg)
+    return file_bytes(draw, lines)
 
 
 @given(group_files())

@@ -3,11 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatd4 import canon
-from hatd4.graphs import (GraphError, doubled_cycle, four_semiedge_vertex,
+from hatd4.graphs import (Graph, GraphError, doubled_cycle, four_semiedge_vertex,
                           from_simple_edges)
-from hatd4.perms import is_dihedral_8
+from hatd4.perms import PermGroup, StabChain, is_dihedral_8
 from hatd4.symmetry import (ARC_TRANSITIVE, HALF_ARC_TRANSITIVE, OTHER, Digraph,
                             GraphAction, aut_group, digraph_aut,
                             extract_digraph, is_relevant_pair,
@@ -156,3 +158,111 @@ def test_table1_row1_aut_order(base_pair_42):
     aut = aut_group(graph)
     assert aut.group.order() == 672
     assert transitivity_profile(graph, aut).classification == ARC_TRANSITIVE
+
+
+# ---------------------------------------------------------------------------
+# the dart lift against brute force
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def connected_dart_graphs(draw):
+    """(graph, arcs): a random connected dart graph on at most 4 vertices
+    with loops, parallel links and semiedges, and a random arc set (one
+    dart of each edge) when it has no semiedges, else None."""
+    n = draw(st.integers(1, 4))
+    edges = [(draw(st.integers(0, v - 1)), v, False) for v in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                     st.booleans()), max_size=4))
+    edges = draw(st.permutations(edges))
+    beg, inv, arcs = [], [], []
+    for u, w, semi in edges:
+        x = len(beg)
+        if semi:
+            beg.append(u)
+            inv.append(x)
+        else:
+            beg.extend([u, w])
+            inv.extend([x + 1, x])
+            first = draw(st.booleans())
+            arcs.extend([first, not first])
+    g = Graph(n, beg, inv)
+    return g, (np.array(arcs, dtype=bool) if len(arcs) == g.m else None)
+
+
+def brute_automorphisms(g):
+    """Every (vertex map, dart map) pair that commutes with beg and inv: each
+    vertex permutation, extended dart by dart."""
+    out = []
+    dmap = [-1] * g.m
+    beg, inv = g.beg.tolist(), g.inv.tolist()
+
+    def extend(vp, x):
+        if x == g.m:
+            out.append((vp, np.array(dmap, dtype=np.int64)))
+            return
+        if dmap[x] >= 0:
+            extend(vp, x + 1)
+            return
+        for y in range(g.m):
+            if y in dmap or beg[y] != vp[beg[x]] or (inv[x] == x) != (inv[y] == y):
+                continue
+            if inv[x] != x and (inv[y] in dmap or beg[inv[y]] != vp[beg[inv[x]]]):
+                continue
+            dmap[x], dmap[inv[x]] = y, inv[y]
+            extend(vp, x + 1)
+            dmap[x] = dmap[inv[x]] = -1
+
+    for vp in itertools.permutations(range(g.n)):
+        extend(np.array(vp), 0)
+    return out
+
+
+def digraph_aut_by_enumeration(dig):
+    """The arc-preserving elements of Aut(g), listed and filtered, generated
+    by those that grow a chain (digraph_aut's former route for graphs that
+    are not simple)."""
+    g = dig.underlying
+    els, _ = aut_group(g).group.elements()
+    keeps_arcs = dig.arcs[els[:, np.nonzero(dig.arcs)[0] + g.n] - g.n]
+    kept = els[np.all(keeps_arcs, axis=1)]
+    chain = StabChain(g.n + g.m, [])
+    grew = []
+    for x in kept:
+        if chain.order() == len(kept):
+            break
+        if chain.add(x):
+            grew.append(x)
+    return PermGroup(g.n + g.m, grew, known_order=len(kept))
+
+
+def check_lift(g, vmap, arcs):
+    dmap = canon.extend_vertex_map_to_darts(g, g, vmap, arcs)
+    assert dmap is not None
+    assert np.array_equal(g.beg[dmap], np.asarray(vmap)[g.beg])
+    assert np.array_equal(g.inv[dmap], dmap[g.inv])
+    assert arcs is None or np.array_equal(arcs[dmap], arcs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_dart_graphs())
+def test_dart_lift_matches_brute_force(case):
+    g, arcs = case
+    auts = brute_automorphisms(g)
+    act = aut_group(g)
+    assert act.group.order() == len(auts)
+    ident = np.arange(g.n)
+    assert canon.local_dart_gens(g)[1] == sum(np.array_equal(vp, ident) for vp, _ in auts)
+    for vp, _ in auts:
+        check_lift(g, vp, None)
+    if arcs is None:
+        return
+    kept = [vp for vp, dp in auts if np.array_equal(arcs[dp], arcs)]
+    dig = digraph_aut(Digraph(g, arcs))
+    assert dig.order() == len(kept)
+    ref = digraph_aut_by_enumeration(Digraph(g, arcs))
+    assert dig.order() == ref.order()
+    assert all(ref.contains(x) for x in dig.gens) and all(dig.contains(x) for x in ref.gens)
+    assert canon.local_dart_gens(g, arcs)[1] == sum(np.array_equal(vp, ident) for vp in kept)
+    for vp in kept:
+        check_lift(g, vp, arcs)
