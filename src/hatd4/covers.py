@@ -289,6 +289,9 @@ def read_voltages(path, base: Graph) -> VoltageAssignment:
             if not (2 <= p <= MAX_ID and 0 <= d <= len(base.edges())):
                 raise CoverError("%s:%d: need 2 <= p <= %d and 0 <= d <= %d"
                                  % (path, lineno, MAX_ID, len(base.edges())))
+            # voltages live in the vector space GF(p)^d
+            if not gfp.is_prime(p):
+                raise CoverError("%s:%d: %d is not a prime" % (path, lineno, p))
             volt = np.zeros((base.m, d), dtype=np.int64)
             continue
         if len(parts) != d + 1:

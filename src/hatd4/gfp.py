@@ -5,9 +5,13 @@ through float64 BLAS whenever the accumulated dot products fit exactly in a
 double (n*(p-1)^2 < 2**53, which holds for every size this package touches);
 GF(2) additionally gets a bit-packed uint64 row layout for the fixed-space
 eliminations behind degree-2 covers, where a dense int64 matrix would be
-wasteful.  `EchelonBasis` grows a row space a block of rows at a time (one
-product to reduce the block, one elimination of the residual), which is how
-the MeatAxe spins and the Krylov sequences feed it.
+wasteful.  Those matrices are tall and sparse (a few bits per row), so the
+packed elimination picks the lightest row as each pivot and works a word at
+a time on the rows that touch it, which keeps the fill-in low.
+`EchelonBasis` grows a row space a block of rows at a time (one product to
+reduce the block, one elimination of the residual), which is how the
+MeatAxe spins and the Krylov sequences feed it.  `is_prime` is the
+primality test for the field sizes the cover code accepts.
 """
 
 from __future__ import annotations
@@ -15,6 +19,27 @@ from __future__ import annotations
 import numpy as np
 
 _FLOAT_EXACT = 2.0**53
+
+
+def is_prime(n):
+    """Miller-Rabin to the first twelve prime bases, exact below 3.1e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def normalize(a, p):
@@ -196,29 +221,62 @@ def gf2_unpack(w, n):
 
 
 def gf2_rref_packed(w, ncols):
-    """In-place-ish reduced echelon form of packed rows; returns (rows, pivots)."""
+    """Reduced echelon form of packed GF(2) rows; returns (rows, pivots).
+
+    The input is not modified.  Forward elimination runs a word at a time:
+    the rows with a bit in the word are gathered into one slab, and for each
+    column of the word the hit row of least weight becomes the pivot, where
+    weight is an upper bound on its set bits (the popcount, plus the weight
+    of every pivot XORed into it, capped at ncols).  XORs cover only the
+    words from the current one rightward, pivot rows leave the active rows,
+    and every 8 words the active rows that became zero are dropped.
+    Back-substitution then clears the pivot columns among the pivot rows
+    alone, word by word from the right.  The result is the unique reduced
+    echelon form of the row space, so the pivot choice changes only the
+    work.
+    """
     w = w.copy()
-    m = w.shape[0]
+    out = np.zeros((min(w.shape[0], ncols), w.shape[1]), dtype=np.uint64)
+    weight = np.bitwise_count(w).sum(axis=1, dtype=np.int64)
     pivots = []
-    row = 0
-    for col in range(ncols):
-        if row == m:
-            break
-        word, bit = divmod(col, 64)
-        mask = np.uint64(1) << np.uint64(bit)
-        hit = np.nonzero(w[row:, word] & mask)[0]
-        if hit.size == 0:
-            continue
-        piv = row + int(hit[0])
-        if piv != row:
-            w[[row, piv]] = w[[piv, row]]
-        others = np.nonzero(w[:, word] & mask)[0]
-        others = others[others != row]
-        if others.size:
-            w[others] ^= w[row]
-        pivots.append(col)
-        row += 1
-    return w[: len(pivots)], pivots
+    for word in range((ncols + 63) // 64):
+        sel = np.flatnonzero(w[:, word])
+        slab = w[sel, word:]
+        lead = slab[:, 0].copy()
+        wt = weight[sel]
+        done = []
+        while live := int(np.bitwise_or.reduce(lead)):
+            bit = (live & -live).bit_length() - 1
+            if 64 * word + bit >= ncols:
+                break
+            hit = np.flatnonzero(lead & np.uint64(1 << bit))
+            piv = hit[np.argmin(wt[hit])]
+            hit = hit[hit != piv]
+            if hit.size:
+                slab[hit] ^= slab[piv]
+                lead[hit] ^= lead[piv]
+                wt[hit] = np.minimum(wt[hit] + wt[piv], ncols)
+            out[len(pivots), word:] = slab[piv]
+            lead[piv] = 0
+            done.append(piv)
+            pivots.append(64 * word + bit)
+        slab[done] = 0
+        w[sel, word:] = slab
+        weight[sel] = wt
+        if word % 8 == 7:
+            keep = np.any(w[:, word + 1 :], axis=1)
+            w, weight = w[keep], weight[keep]
+    out = out[: len(pivots)]
+    cols = np.array(pivots, dtype=np.int64)
+    for word in range((ncols + 63) // 64 - 1, -1, -1):
+        lo, hi = np.searchsorted(cols >> 6, [word, word + 1])
+        lead = out[:hi, word].copy()
+        for k in range(hi - 1, lo - 1, -1):
+            hit = np.flatnonzero(lead[:k] & np.uint64(1 << int(cols[k] & 63)))
+            if hit.size:
+                out[hit, word:] ^= out[k, word:]
+                lead[hit] ^= lead[k]
+    return out, pivots
 
 
 def gf2_nullspace_packed(w, ncols):

@@ -354,8 +354,8 @@ def _gf2_fixed_lines(g: Graph, action: GraphAction):
     for perm in action.group.gens:
         dp = perm[g.n :] - g.n
         mat = _packed_generator_matrix(g, dp, layers, cotree, idx)
-        for j in range(beta):  # flip the diagonal: rows of A - I
-            mat[j, j >> 6] ^= np.uint64(1) << np.uint64(j & 63)
+        j = np.arange(beta)  # flip the diagonal: rows of A - I
+        mat[j, j >> 6] ^= np.uint64(1) << (j & 63).astype(np.uint64)
         blocks.append(mat)
     stacked = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, (beta + 63) // 64), np.uint64)
     basis = gfp.gf2_nullspace_packed(stacked, beta) if len(stacked) else np.eye(beta, dtype=np.int64)
@@ -370,34 +370,13 @@ def _gf2_fixed_lines(g: Graph, action: GraphAction):
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(n):
-    """Miller-Rabin to the first twelve prime bases, exact below 3.1e23."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % a == 0 for a in bases):
-        return n in bases
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
-
-
 def cover_budget(n0: int, max_order: int, primes=None, dim_override=None):
     """(p, dmax) pairs with p^d * n0 <= max_order for some d >= 1.
 
     An explicit prime list and dim_override are checked first: CoverError
     for an entry that is not prime or an override below 1.
     """
-    bad = [p for p in primes or () if not _is_prime(p)]
+    bad = [p for p in primes or () if not gfp.is_prime(p)]
     if bad:
         raise CoverError("%d is not a prime" % bad[0])
     if dim_override is not None and dim_override < 1:
@@ -405,7 +384,7 @@ def cover_budget(n0: int, max_order: int, primes=None, dim_override=None):
     ratio = max_order // n0
     if ratio < 2:
         return []
-    plist = primes if primes is not None else filter(_is_prime, range(ratio + 1))
+    plist = primes if primes is not None else filter(gfp.is_prime, range(ratio + 1))
     out = []
     for p in plist:
         if p > ratio:

@@ -173,6 +173,18 @@ def test_non_utf8_voltage_exit_code(tmp_path, capsys, monkeypatch):
     _check_input_error(path, capsys, "classify", ": not UTF-8")
 
 
+def test_composite_voltage_prime_exit_code(tmp_path, capsys, monkeypatch):
+    """Like the non-UTF-8 case above: a voltage header over Z_4 is a
+    CoverError naming the line, so the command exits 1."""
+    from hatd4 import cli
+    from hatd4.covers import read_voltages
+
+    path = tmp_path / "input.volt"
+    path.write_text("voltage 4 1\n")
+    monkeypatch.setattr(cli, "read_graph", lambda p: read_voltages(p, doubled_cycle(2)))
+    _check_input_error(path, capsys, "classify", ":1: 4 is not a prime")
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from hatd4 import census as census_mod
 

@@ -274,6 +274,7 @@ def test_voltage_file_roundtrip(tmp_path):
     ("voltage 3 x\n", 1),
     ("voltage 3 1\n0 y\n", 2),
     ("voltage 3 -1\n", 1),
+    ("voltage 4 1\n", 1),  # Z_4 is not a field
 ])
 def test_voltage_file_reports_bad_lines(tmp_path, text, line):
     path = tmp_path / "bad.volt"

@@ -121,6 +121,54 @@ def test_packed_gf2_nullspace_matches_dense(a):
 
 
 @st.composite
+def sparse_gf2_matrices(draw):
+    """Tall sparse 0/1 matrices shaped like the stacked (A - I) blocks of the
+    degree-2 covers: at least three rows per column, 1-8 set bits in a row,
+    duplicated and all-zero rows among them.  The columns fall into runs; a
+    row sets its bits in a window of one run, as narrow as 2 columns or as
+    wide as the run, and some runs take only rows of even weight, which
+    loses one dimension there, so the rank falls short and free columns sit
+    between pivots.  The word count is drawn first, up to 11 (700 columns),
+    so the elimination's every-8-words compaction and its back-substitution
+    across words both run often."""
+    words = draw(st.integers(1, 11))
+    n = draw(st.integers(64 * words - 63, min(64 * words, 700)))
+    m = draw(st.integers(3, 4)) * n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = rng.choice(np.arange(1, n), size=min(n - 1, draw(st.integers(0, 3))), replace=False)
+    runs = np.split(np.arange(n), np.sort(cuts))
+    even = [draw(st.booleans()) and len(r) > 1 for r in runs]
+    a = np.zeros((m, n), dtype=np.int64)
+    for i in range(m):
+        k = int(rng.integers(len(runs)))
+        width = min(len(runs[k]), 2 ** int(rng.integers(1, 11)))
+        start = int(rng.integers(len(runs[k]) - width + 1))
+        weight = min(int(rng.integers(1, 9)), width)
+        if even[k]:
+            weight = max(2, weight - weight % 2)
+        a[i, start + runs[k][0] + rng.choice(width, size=weight, replace=False)] = 1
+    kinds = rng.random(m)
+    a[kinds < 0.05] = 0
+    dup = np.flatnonzero(kinds > 0.9)
+    a[dup] = a[rng.integers(0, m, size=dup.size)]
+    return a
+
+
+@given(sparse_gf2_matrices())
+@settings(max_examples=20, deadline=None)
+def test_packed_gf2_rref_matches_dense(a):
+    n = a.shape[1]
+    w = gfp.gf2_pack(a)
+    before = w.copy()
+    r, pivots = gfp.gf2_rref_packed(w, n)
+    want_r, want_pivots = gfp.rref(a, 2)
+    assert np.array_equal(w, before)
+    assert pivots == want_pivots
+    assert r.shape == (len(pivots), w.shape[1]) and r.dtype == np.uint64
+    assert np.array_equal(gfp.gf2_unpack(r, n), want_r)
+
+
+@st.composite
 def block_sequences(draw):
     """(p, n, blocks): random blocks mixed with all-zero blocks and blocks of
     combinations of rows already given."""
