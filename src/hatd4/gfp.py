@@ -2,12 +2,16 @@
 
 Matrices are numpy int64 arrays with entries reduced mod p.  Products route
 through float64 BLAS whenever the accumulated dot products fit exactly in a
-double (n*(p-1)^2 < 2**53, which holds for every size this package touches);
-GF(2) additionally gets a bit-packed uint64 row layout for the fixed-space
-eliminations behind degree-2 covers, where a dense int64 matrix would be
-wasteful.  Those matrices are tall and sparse (a few bits per row), so the
-packed elimination picks the lightest row as each pivot and works a word at
-a time on the rows that touch it, which keeps the fill-in low.
+double (n*(p-1)^2 < 2**53, which holds for every size this package touches).
+At p = 2, `rref` and `minimal_polynomial` hold each row as one Python int,
+bit c being column c, and eliminate by XOR: the MeatAxe's blocks are small
+(tens of rows and columns), where a per-column numpy step costs far more
+than the few int operations it replaces.  GF(2) also gets a bit-packed
+uint64 row layout (`gf2_pack`, the same bits as the int rows) for the
+fixed-space eliminations behind degree-2 covers, where a dense int64 matrix
+would be wasteful.  Those matrices are tall and sparse (a few bits per row),
+so the packed elimination picks the lightest row as each pivot and works a
+word at a time on the rows that touch it, which keeps the fill-in low.
 `EchelonBasis` grows a row space a block of rows at a time (one product to
 reduce the block, one elimination of the residual), which is how the
 MeatAxe spins and the Krylov sequences feed it.  `is_prime` is the
@@ -76,8 +80,11 @@ def rref(a, p):
     Entries are reduced mod p lazily: the searched column and the pivot row
     are reduced on each step, while every other entry drifts by less than
     (p-1)^2 per pivot.  Only when rank * (p-1)^2 could leave int64 is the
-    whole update reduced on every step.
+    whole update reduced on every step.  At p = 2 the rows are Python ints
+    instead (`_rref_gf2`).
     """
+    if p == 2:
+        return _rref_gf2(np.asarray(a))
     r = normalize(a, p)
     m = r.shape[0]
     eager = min(r.shape) * (p - 1) ** 2 >= 2**62
@@ -109,6 +116,63 @@ def rref(a, p):
         pivots.append(col)
         row += 1
     return r[: len(pivots)] % p, pivots
+
+
+def _bit_rows(a):
+    """Rows of a matrix mod 2 as Python ints, bit c holding column c: the
+    words of `gf2_pack`, joined."""
+    w = gf2_pack(a)
+    rows = [0] * len(w)
+    for j in range(w.shape[1]):
+        rows = [x | y << (64 * j) for x, y in zip(rows, w[:, j].tolist())]
+    return rows
+
+
+def _bit_matrix(rows, n):
+    """The int rows of `_bit_rows` back to an int64 0/1 matrix of n columns."""
+    w = np.empty((len(rows), (n + 63) // 64), dtype=np.uint64)
+    for j in range(w.shape[1]):
+        w[:, j] = [(x >> (64 * j)) & 0xFFFF_FFFF_FFFF_FFFF for x in rows]
+    return gf2_unpack(w, n)
+
+
+def _gf2_insert(piv, x, mask=-1):
+    """Reduce the int row x against piv, a dict {lowest set bit: row}, while
+    x & mask is nonzero; file x under its lowest set bit once no row holds
+    that bit.  Returns the reduced row, whose bits on mask are all zero
+    when x, on those bits, lies in the span of the rows of piv."""
+    while x & mask:
+        low = x & -x
+        y = piv.get(low)
+        if y is None:
+            piv[low] = x
+            break
+        x ^= y
+    return x
+
+
+def _rref_gf2(a):
+    """`rref` at p = 2 on int rows: a forward pass files every row under its
+    lowest set bit, then back-substitution from the highest pivot down
+    clears the other pivot bits of each row.  Repeated rows enter once, and
+    the lightest first, so light rows become the pivots, which keeps the
+    fill-in low on the tall sparse blocks."""
+    piv = {}
+    for x in sorted(set(_bit_rows(a)), key=int.bit_count):
+        _gf2_insert(piv, x)
+    done = 0
+    for low in sorted(piv, reverse=True):
+        # the rows filed under bits in done hold no other pivot bit
+        x = piv[low]
+        hits = x & done
+        while hits:
+            h = hits & -hits
+            x ^= piv[h]
+            hits ^= h
+        piv[low] = x
+        done |= low
+    order = sorted(piv)
+    return _bit_matrix([piv[b] for b in order], a.shape[1]), [b.bit_length() - 1 for b in order]
 
 
 def rank(a, p):
@@ -201,23 +265,19 @@ class EchelonBasis:
 
 
 def gf2_pack(a):
-    """Pack a 0/1 matrix into uint64 words, little-endian within each word."""
-    a = (np.asarray(a) & 1).astype(np.uint8)
+    """Pack a matrix mod 2 into uint64 words, bit c of a row holding column c:
+    the bytes of a row are little-endian, and so are its words."""
+    a = np.asarray(a)
     m, n = a.shape
-    nwords = (n + 63) // 64
-    padded = np.zeros((m, nwords * 64), dtype=np.uint8)
-    padded[:, :n] = a
-    bits = padded.reshape(m, nwords, 8, 8)
-    packed = np.packbits(bits[:, :, :, ::-1], axis=-1).reshape(m, nwords, 8)
-    return packed.view(np.uint64).reshape(m, nwords)
+    out = np.zeros((m, 8 * ((n + 63) // 64)), dtype=np.uint8)
+    out[:, : (n + 7) // 8] = np.packbits(a & 1, axis=1, bitorder="little")
+    return out.view(np.uint64)
 
 
 def gf2_unpack(w, n):
-    m = w.shape[0]
-    bytes_ = w.reshape(m, -1, 1).view(np.uint8).reshape(m, -1, 8)
-    bits = np.unpackbits(bytes_, axis=-1).reshape(m, -1, 8, 8)
-    bits = bits[:, :, :, ::-1].reshape(m, -1)
-    return bits[:, :n].astype(np.int64)
+    """The first n columns of packed rows as an int64 0/1 matrix."""
+    bits = np.ascontiguousarray(w).view(np.uint8)
+    return np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(np.int64)
 
 
 def gf2_rref_packed(w, ncols):
@@ -287,7 +347,9 @@ def gf2_nullspace_packed(w, ncols):
     basis = np.zeros((len(free), ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     if pivots:
-        basis[:, pivots] = gf2_unpack(r, ncols)[:, free].T
+        # read the free columns' bits straight from the packed words
+        f = np.array(free, dtype=np.int64)
+        basis[:, pivots] = ((r[:, f >> 6] >> (f & 63).astype(np.uint64)) & 1).T
     if len(basis):
         basis = gf2_unpack(gf2_rref_packed(gf2_pack(basis), ncols)[0], ncols)
     return basis
@@ -509,8 +571,11 @@ def minimal_polynomial(a, p):
 
     Spins Krylov sequences from standard basis vectors; each dependency is
     recovered from an augmented elimination and the local relations are
-    combined by lcm.
+    combined by lcm.  At p = 2 the rows are Python ints instead
+    (`_minimal_polynomial_gf2`).
     """
+    if p == 2:
+        return _minimal_polynomial_gf2(a)
     n = a.shape[0]
     a = normalize(a, p)
     seen = EchelonBasis(n, p)
@@ -551,6 +616,41 @@ def minimal_polynomial(a, p):
         if seen.dim == n:
             break
     return poly_monic(m, p)
+
+
+def _minimal_polynomial_gf2(a):
+    """`minimal_polynomial` at p = 2 on int rows.  Iterate t of the sequence
+    from e_start is the row v A^t in bits 0..n-1 with bit n + t set as its
+    coordinate; once the forward reduction clears the low bits, the high
+    bits are the relation among the iterates, lowest degree first."""
+    n = a.shape[0]
+    rows = _bit_rows(a)
+    low_bits = (1 << n) - 1
+    seen = {}
+    m = np.ones(1, dtype=np.int64)
+    for start in range(n):
+        if not _gf2_insert(seen, 1 << start):
+            continue
+        krylov = {}
+        v = 1 << start
+        for t in range(n + 1):
+            x = _gf2_insert(krylov, v | 1 << (n + t), low_bits)
+            if not x & low_bits:
+                rel = x >> n
+                coeffs = [(rel >> i) & 1 for i in range(rel.bit_length())]
+                m = _poly_lcm(m, np.array(coeffs, dtype=np.int64), 2)
+                break
+            w = 0
+            while v:
+                low = v & -v
+                w ^= rows[low.bit_length() - 1]
+                v ^= low
+            v = w
+        for x in krylov.values():
+            _gf2_insert(seen, x & low_bits)
+        if len(seen) == n:
+            break
+    return poly_monic(m, 2)
 
 
 def _poly_lcm(f, g, p):

@@ -111,6 +111,55 @@ def test_nullspace_matches_sympy(case):
         assert not np.any(gfp.matmul(a, got.T, p))
 
 
+@st.composite
+def wide_gf2_matrices(draw):
+    """Matrices mod 2 whose rows cross byte and 64-bit word boundaries: up to
+    140 columns, with 8, 64, 65 and the other boundary widths drawn often,
+    and up to three rows per column.  Some are products through a narrow
+    middle, so the rank falls short; some rows are zero or duplicates, and
+    some entries are outside 0..1."""
+    n = draw(st.one_of(st.sampled_from((1, 7, 8, 9, 63, 64, 65, 128, 129)), st.integers(1, 140)))
+    m = draw(st.integers(1, 3 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.02, 0.1, 0.5)))
+    a = (rng.random((m, n)) < density).astype(np.int64)
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n))
+        a = a[:, :k] @ (rng.random((k, n)) < density)
+    kinds = rng.random(m)
+    a[kinds < 0.1] = 0
+    dup = np.flatnonzero(kinds > 0.85)
+    a[dup] = a[rng.integers(0, m, size=dup.size)]
+    if draw(st.booleans()):
+        a += 2 * rng.integers(-1, 2, size=a.shape)
+    return a
+
+
+@given(wide_gf2_matrices())
+@settings(max_examples=60, deadline=None)
+def test_gf2_rref_matches_sympy_across_words(a):
+    r, pivots = gfp.rref(a, 2)
+    want_r, want_pivots = sympy_rref(a, 2)
+    assert pivots == want_pivots
+    assert r.dtype == np.int64
+    assert np.array_equal(r, want_r)
+
+
+@pytest.mark.parametrize("m", [0, 3])
+@pytest.mark.parametrize("n", [0, 1, 5, 8, 64, 65, 130])
+def test_gf2_pack_round_trip(m, n):
+    a = np.random.default_rng(n).integers(0, 2, size=(m, n))
+    w = gfp.gf2_pack(a)
+    assert w.shape == (m, (n + 63) // 64) and w.dtype == np.uint64
+    back = gfp.gf2_unpack(w, n)
+    assert back.dtype == np.int64 and np.array_equal(back, a)
+
+
+def test_gf2_rref_of_zero_matrix():
+    r, pivots = gfp.rref(np.zeros((4, 9), dtype=np.int64), 2)
+    assert r.shape == (0, 9) and r.dtype == np.int64 and pivots == []
+
+
 @given(st.tuples(st.integers(1, 8), st.integers(1, 140)).flatmap(
     lambda shape: arrays(np.int64, shape, elements=st.integers(0, 1))))
 @settings(max_examples=150, deadline=None)
@@ -251,11 +300,9 @@ def test_block_spin_matches_oracle(case):
     assert np.array_equal(got, min(containing, key=len))
 
 
-@given(matrices(max_rows=6, square=True))
-@settings(max_examples=100, deadline=None)
-def test_minimal_polynomial_annihilates_and_is_minimal(case):
-    p, a = case
-    m = gfp.minimal_polynomial(a, p)
+def assert_minimal_polynomial(m, a, p):
+    """m is monic, annihilates a, and no proper divisor m / f with f an
+    irreducible factor does (factors from sympy)."""
     assert int(m[-1]) == 1
     assert not np.any(poly_at(m, a, p))
     x = symbols("x")
@@ -270,6 +317,62 @@ def test_minimal_polynomial_annihilates_and_is_minimal(case):
         assert rem.is_zero
         coeffs = [int(c) % p for c in reversed(q.all_coeffs())]
         assert np.any(poly_at(coeffs, a, p))
+
+
+@given(matrices(max_rows=6, square=True))
+@settings(max_examples=100, deadline=None)
+def test_minimal_polynomial_annihilates_and_is_minimal(case):
+    p, a = case
+    assert_minimal_polynomial(gfp.minimal_polynomial(a, p), a, p)
+
+
+@st.composite
+def gf2_companion_sums(draw):
+    """(a, blocks): a matrix of dimension 9-70 over GF(2) similar to the block
+    diagonal sum of the companion matrices of blocks, monic polynomials as
+    coefficient lists, low degree first.  Some blocks repeat or are powers
+    of x + 1, so the lcm drops or merges factors.  The similarity is a run
+    of transvections I + E_ij, each its own inverse mod 2."""
+    n = draw(st.integers(9, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    while (left := n - sum(len(f) - 1 for f in blocks)) > 0:
+        kind = rng.integers(3)
+        if kind == 0 and blocks:
+            f = blocks[rng.integers(len(blocks))]
+            f = f if len(f) - 1 <= left else [1, 1]
+        elif kind == 1:
+            f = [int(c) % 2 for c in Poly((symbols("x") + 1) ** int(rng.integers(1, 5)),
+                                           modulus=2).all_coeffs()[::-1]]
+            f = f if len(f) - 1 <= left else [1, 1]
+        else:
+            f = [int(c) for c in rng.integers(0, 2, size=int(rng.integers(1, min(left, 16) + 1)))] + [1]
+        blocks.append(f)
+    a = np.zeros((n, n), dtype=np.int64)
+    at = 0
+    for f in blocks:
+        d = len(f) - 1
+        a[at + 1 : at + d, at : at + d - 1] += np.eye(d - 1, dtype=np.int64)
+        a[at : at + d, at + d - 1] = f[:d]
+        at += d
+    for _ in range(3 * n):
+        i, j = rng.choice(n, size=2, replace=False)
+        a[i] ^= a[j]
+        a[:, j] ^= a[:, i]
+    return a, blocks
+
+
+@given(gf2_companion_sums())
+@settings(max_examples=25, deadline=None)
+def test_gf2_minimal_polynomial_is_lcm_of_companion_blocks(case):
+    a, blocks = case
+    x = symbols("x")
+    want = Poly(1, x, modulus=2)
+    for f in blocks:
+        want = want.lcm(Poly(f[::-1], x, modulus=2))
+    m = gfp.minimal_polynomial(a, 2)
+    assert [int(c) for c in m] == [int(c) % 2 for c in reversed(want.all_coeffs())]
+    assert_minimal_polynomial(m, a, 2)
 
 
 def test_hom_space_rejects_unequal_generator_counts():
