@@ -182,18 +182,24 @@ def rank(a, p):
 def nullspace(a, p):
     """Rows spanning {x : a @ x = 0 mod p}, in reduced echelon form."""
     a = np.atleast_2d(normalize(a, p))
-    n = a.shape[1]
     r, pivots = rref(a, p)
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    basis = np.zeros((len(free), n), dtype=np.int64)
+    return _kernel_basis(pivots, a.shape[1], p, lambda free: r[:, free])
+
+
+def _kernel_basis(pivots, ncols, p, columns):
+    """The kernel of an rref with these pivot columns, in reduced echelon
+    form.  One row per free column f has 1 at f and minus column f of the
+    rref at the pivots; columns(free) gives the rref's free columns as a
+    (rank x free) int64 array."""
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-r[:, free]).T % p
+    basis[:, pivots] = (-columns(free)).T % p
     # canonicalise: the free-variable basis spans the kernel but need not be
     # in reduced echelon form itself
-    if len(basis):
-        basis = rref(basis, p)[0]
-    return basis
+    return rref(basis, p)[0] if len(basis) else basis
 
 
 class EchelonBasis:
@@ -342,17 +348,9 @@ def gf2_rref_packed(w, ncols):
 def gf2_nullspace_packed(w, ncols):
     """Nullspace basis (unpacked int64 rows, reduced echelon) of a packed GF(2) matrix."""
     r, pivots = gf2_rref_packed(w, ncols)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    if pivots:
-        # read the free columns' bits straight from the packed words
-        f = np.array(free, dtype=np.int64)
-        basis[:, pivots] = ((r[:, f >> 6] >> (f & 63).astype(np.uint64)) & 1).T
-    if len(basis):
-        basis = gf2_unpack(gf2_rref_packed(gf2_pack(basis), ncols)[0], ncols)
-    return basis
+    # read the free columns' bits straight from the packed words
+    return _kernel_basis(pivots, ncols, 2, lambda f: (
+        (r[:, f >> 6] >> (f & 63).astype(np.uint64)) & 1).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

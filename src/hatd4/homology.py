@@ -3,9 +3,12 @@
 The cycle space of a connected semiedge-free graph has dimension
 beta = |E| - |V| + 1; fundamental cycles of the graph's cached
 breadth-first tree (`Graph.spanning_tree`) give the basis, indexed by
-cotree edges in positive-dart order.  Automorphisms act on cycle classes
-row-wise; the generator matrices and the lifts solve vertex potentials
-along the tree one layer at a time.  Maximal invariant subspaces of
+cotree edges in positive-dart order.  `_cycle_table` caches each
+fundamental cycle as a walk of darts through vertex 0, and a generator's
+matrix (row convention) sums the cycle coordinates of the images of those
+darts: `homology_rep` adds them into dense matrices, and the GF(2) fixed
+space XORs them into bit-packed rows.  Lifts solve vertex potentials along
+the tree one layer at a time.  Maximal invariant subspaces of
 codimension d correspond to minimal admissible covers of degree p^d.
 Each is found as its annihilator, a d x beta dual basis r: over GF(2)
 with d = 1 from the bit-packed fixed space, otherwise from the dense
@@ -52,72 +55,75 @@ class HomologyModule:
         return True
 
 
-def _cycle_supports(g: Graph):
-    """(tree layers, cotree positive darts, phi index/sign arrays).
+def _cycle_table(g: Graph):
+    """The fundamental cycles of the cached breadth-first tree, cached in
+    turn: ``(cotree, idx, sgn, rows, darts)``.
 
-    phi maps a dart to its fundamental-cycle coordinate: the basis index of
-    its cotree edge with sign +1 on the positive dart, -1 on the inverse,
-    and -1/index 0 for tree darts (index array holds -1 there).
+    cotree holds the positive dart of each cotree edge, ascending, one per
+    basis cycle.  idx and sgn map a dart to its cycle coordinate: the basis
+    index of its cotree edge with sign +1 on the positive dart and -1 on the
+    inverse (idx -1 and sgn 0 on tree darts).  Cycle c is the closed walk
+    from vertex 0 down the tree to beg c, along c, then back up from end c;
+    dart darts[k] lies on the walk of cycle rows[k].  The part shared by
+    both tree paths cancels, so it is left in.
     """
-    _, layers = spanning_tree(g)
-    pos = g.edges()
-    cotree = pos[~spanning_tree_mask(g)[pos]]
-    basis = np.arange(len(cotree))
-    idx = np.full(g.m, -1, dtype=np.int64)
-    sgn = np.zeros(g.m, dtype=np.int64)
-    idx[cotree], sgn[cotree] = basis, 1
-    # semiedge positive darts are their own inverse; excluded by precondition
-    idx[g.inv[cotree]], sgn[g.inv[cotree]] = basis, -1
-    return layers, cotree, idx, sgn
-
-
-def _generator_matrix_int(g: Graph, dp, layers, cotree, idx, sgn):
-    """Integer matrix of the induced homology action of one automorphism.
-
-    The vertex potential psi(v) is the cycle coordinate of the image of the
-    tree path to v, set one tree layer at a time; the row of a cotree dart
-    c is psi(beg c) - psi(end c) plus the coordinate of its image.
-    """
-    psi = np.zeros((g.n, len(cotree)), dtype=np.int64)
-    for vs, ts in layers:
-        img = dp[ts]
-        psi[vs] = psi[g.beg[ts]]
-        hit = idx[img] >= 0
-        psi[vs[hit], idx[img[hit]]] += sgn[img[hit]]
-    mat = psi[g.beg[cotree]] - psi[g.end()[cotree]]
-    img = dp[cotree]
-    hit = idx[img] >= 0
-    mat[np.nonzero(hit)[0], idx[img[hit]]] += sgn[img[hit]]
-    return mat
-
-
-def _integer_rep(g: Graph, action: GraphAction):
-    key = ("homology-int",) + tuple(p.tobytes() for p in action.group.gens)
-    hit = g._cache.get(key)
+    hit = g._cache.get("cycles")
     if hit is not None:
         return hit
     if g.semiedge_darts().size:
         raise GraphError("homology needs a semiedge-free graph")
     if not g.is_connected():
         raise GraphError("homology needs a connected graph")
-    layers, cotree, idx, sgn = _cycle_supports(g)
-    mats = [_generator_matrix_int(g, perm[g.n :] - g.n, layers, cotree, idx, sgn)
-            for perm in action.group.gens]
-    orders = [perm_order(perm) for perm in action.group.gens]
-    if not mats:
-        mats = [np.eye(len(cotree), dtype=np.int64)]
-        orders = [1]
-    out = (cotree, mats, orders)
-    g._cache[key] = out
-    return out
+    parent, _ = g.spanning_tree()
+    pos = g.edges()
+    cotree = pos[~spanning_tree_mask(g)[pos]]
+    basis = np.arange(len(cotree))
+    idx = np.full(g.m, -1, dtype=np.int64)
+    sgn = np.zeros(g.m, dtype=np.int64)
+    idx[cotree], sgn[cotree] = basis, 1
+    idx[g.inv[cotree]], sgn[g.inv[cotree]] = basis, -1
+    rows, darts = [basis], [cotree]
+    for v, up in ((g.beg[cotree], False), (g.end()[cotree], True)):
+        row = basis
+        while True:
+            below = v != 0
+            row, v = row[below], v[below]
+            if not len(v):
+                break
+            t = parent[v]
+            rows.append(row)
+            darts.append(g.inv[t] if up else t)
+            v = g.beg[t]
+    hit = (cotree, idx, sgn, np.concatenate(rows), np.concatenate(darts))
+    g._cache["cycles"] = hit
+    return hit
+
+
+def _entries(table, perm, n):
+    """(row, column, sign) entries of the homology matrix of the graph
+    automorphism perm: row c sums the coordinates of the images of the
+    darts on cycle c's walk."""
+    _, idx, sgn, rows, darts = table
+    img = perm[n:][darts] - n
+    hit = idx[img] >= 0
+    return rows[hit], idx[img[hit]], sgn[img[hit]]
 
 
 def homology_rep(g: Graph, action: GraphAction, p: int) -> HomologyModule:
     """Action of the generators on H1(graph; GF(p)) in the cycle basis."""
-    cotree, mats, orders = _integer_rep(g, action)
-    return HomologyModule(base=g, p=p, dim=len(cotree),
-                          action=[m % p for m in mats], cotree=cotree,
-                          orders=orders)
+    table = _cycle_table(g)
+    beta = len(table[0])
+    mats, orders = [], []
+    for perm in action.group.gens:
+        row, col, sign = _entries(table, perm, g.n)
+        a = np.zeros((beta, beta), dtype=np.int64)
+        np.add.at(a, (row, col), sign)
+        mats.append(a % p)
+        orders.append(perm_order(perm))
+    if not mats:
+        mats, orders = [np.eye(beta, dtype=np.int64)], [1]
+    return HomologyModule(base=g, p=p, dim=beta, action=mats,
+                          cotree=table[0], orders=orders)
 
 
 # ---------------------------------------------------------------------------
@@ -325,44 +331,28 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
 # ---------------------------------------------------------------------------
 
 
-def _packed_generator_matrix(g, dp, layers, cotree, idx):
-    """One generator's homology matrix over GF(2) as bit-packed rows, built
-    as `_generator_matrix_int` builds the dense one."""
-    nwords = (len(cotree) + 63) // 64
-    psi = np.zeros((g.n, nwords), dtype=np.uint64)
-
-    def flip(target, rows, darts):
-        j = idx[dp[darts]]
-        hit = j >= 0
-        j = j[hit]
-        target[rows[hit], j >> 6] ^= np.uint64(1) << (j & 63).astype(np.uint64)
-
-    for vs, ts in layers:
-        psi[vs] = psi[g.beg[ts]]
-        flip(psi, vs, ts)
-    mat = psi[g.beg[cotree]] ^ psi[g.end()[cotree]]
-    flip(mat, np.arange(len(cotree)), cotree)
-    return mat
+def _gf2_fixed_rows(g: Graph, action: GraphAction):
+    """The bit-packed rows of (A - I) over GF(2) for every generator matrix
+    A, stacked: each entry of A, and of the diagonal, flips one bit."""
+    table = _cycle_table(g)
+    beta = len(table[0])
+    diag = np.arange(beta)
+    stacked = np.zeros((len(action.group.gens) * beta, (beta + 63) // 64), dtype=np.uint64)
+    for k, perm in enumerate(action.group.gens):
+        row, col, _ = _entries(table, perm, g.n)
+        row, col = np.concatenate([row, diag]) + k * beta, np.concatenate([col, diag])
+        np.bitwise_xor.at(stacked, (row, col >> 6), np.uint64(1) << (col & 63).astype(np.uint64))
+    return stacked
 
 
 def _gf2_fixed_lines(g: Graph, action: GraphAction):
     """Dual lines over GF(2) without dense matrices: the common fixed space
     of the transposed action is the nullspace of the stacked (A - I)."""
-    layers, cotree, idx, _sgn = _cycle_supports(g)
-    beta = len(cotree)
-    blocks = []
-    for perm in action.group.gens:
-        dp = perm[g.n :] - g.n
-        mat = _packed_generator_matrix(g, dp, layers, cotree, idx)
-        j = np.arange(beta)  # flip the diagonal: rows of A - I
-        mat[j, j >> 6] ^= np.uint64(1) << (j & 63).astype(np.uint64)
-        blocks.append(mat)
-    stacked = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, (beta + 63) // 64), np.uint64)
-    basis = gfp.gf2_nullspace_packed(stacked, beta) if len(stacked) else np.eye(beta, dtype=np.int64)
+    basis = gfp.gf2_nullspace_packed(_gf2_fixed_rows(g, action), len(_cycle_table(g)[0]))
     if len(basis) > 24:
         raise CoverError("fixed space of dimension %d is too large to enumerate"
                          % len(basis))
-    return _lines_of_spans([basis], 2), cotree
+    return _lines_of_spans([basis], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +398,14 @@ def minimal_admissible_covers(g: Graph, action: GraphAction, max_order: int,
     results = {}
     for p, dmax in cover_budget(g.n, max_order, primes, dim_override):
         if p == 2 and dmax == 1:
-            lines, cotree = _gf2_fixed_lines(g, action)
             ident = [np.eye(1, dtype=np.int64)] * len(action.group.gens)
-            found = [(cotree, r, ident) for r in lines]
+            found = [(r, ident) for r in _gf2_fixed_lines(g, action)]
         else:
             mod = homology_rep(g, action, p)
-            found = [(mod.cotree, r, _quotient_matrices(mod, r))
+            found = [(r, _quotient_matrices(mod, r))
                      for r in dual_minimal_submodules(mod, dmax, seed=seed)]
-        for cotree, r, qmats in found:
-            zeta = voltages_from_dual(g, cotree, r, p)
+        for r, qmats in found:
+            zeta = voltages_from_dual(g, _cycle_table(g)[0], r, p)
             pair = lift_group(g, action, zeta, r, qmats)
             results[(p, r.shape[0], r.tobytes())] = pair
     return [results[k] for k in sorted(results.keys())]

@@ -31,6 +31,7 @@ from collections import deque
 
 import numpy as np
 
+from hatd4 import gfp
 from hatd4.graphs import MAX_ID, parse_ints, read_lines
 
 DTYPE = np.int32
@@ -104,6 +105,15 @@ def check_perm(p, degree=None):
     if len(p) != n or not np.all(np.sort(p) == np.arange(n, dtype=DTYPE)):
         raise GroupError("not a permutation of 0..%d" % (n - 1))
     return p
+
+
+def check_points(degree, points):
+    """The points as an index array; GroupError for any outside 0..degree-1."""
+    pts = [int(x) for x in points]
+    bad = [x for x in pts if not 0 <= x < degree]
+    if bad:
+        raise GroupError("point %d out of range 0..%d" % (bad[0], degree - 1))
+    return np.array(pts, dtype=np.intp)
 
 
 # a Perm value is just an image array
@@ -359,8 +369,7 @@ class PermGroup:
         return self.chain().contains(p)
 
     def orbit(self, point):
-        if point >= self.degree:
-            raise GroupError("point %d out of range" % point)
+        (point,) = check_points(self.degree, [point])
         labels = orbit_labels(self.degree, self.gens)
         return set(np.flatnonzero(labels == labels[point]).tolist())
 
@@ -368,11 +377,12 @@ class PermGroup:
         """The orbits meeting points (default all), as sets, in the order
         their first point appears."""
         labels = orbit_labels(self.degree, self.gens)
-        todo = labels if points is None else labels[np.asarray(list(points), dtype=np.intp)]
+        todo = labels if points is None else labels[check_points(self.degree, points)]
         reps = todo[np.sort(np.unique(todo, return_index=True)[1])]
         return [set(np.flatnonzero(labels == r).tolist()) for r in reps]
 
     def point_stabiliser(self, point):
+        (point,) = check_points(self.degree, [point]).tolist()
         if all(g[point] == point for g in self.gens):
             return PermGroup(self.degree, self.gens, known_order=self.order())
         order = self.order()
@@ -462,7 +472,7 @@ def orbit_labels(n, gens, labels=None):
 
 def is_semiregular(n: PermGroup, points) -> bool:
     """True iff the stabiliser in n of every listed point is trivial."""
-    points = np.asarray(list(points), dtype=np.intp)
+    points = check_points(n.degree, points)
     if not points.size:
         raise GroupError("is_semiregular needs a non-empty point set")
     labels = orbit_labels(n.degree, n.gens)
@@ -543,8 +553,7 @@ def is_elementary_abelian(h: PermGroup) -> bool:
     primes = {perm_order(g) for g in h.gens}
     if len(primes) != 1:
         return False
-    p = primes.pop()
-    return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+    return gfp.is_prime(primes.pop())
 
 
 def _is_abelian(h: PermGroup) -> bool:

@@ -2,14 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatd4 import canon, gfp, meataxe
 from hatd4.covers import CoverError, check_lemma_nq, fibre_index, quotient
-from hatd4.graphs import certificate, from_simple_edges
-from hatd4.homology import (_cycle_supports, _dual_lines,
-                            _eigenvalue_candidates, _generator_matrix_int,
-                            _packed_generator_matrix, _quotient_matrices,
-                            cover_budget,
+from hatd4.graphs import Graph, GraphError, certificate, from_simple_edges
+from hatd4.homology import (_cycle_table, _dual_lines,
+                            _eigenvalue_candidates, _gf2_fixed_rows,
+                            _quotient_matrices, cover_budget,
                             cover_from_kernel, dual_minimal_submodules,
                             homology_rep, lift_group,
                             maximal_invariant_submodules,
@@ -385,30 +386,84 @@ def matrix_by_loop(g, dp, cotree, idx, sgn):
 
 
 def test_cycle_supports_match_cotree_loop(base_pair_42):
+    """The table's cotree and coordinates as the tree's darts give them, and
+    each cycle's walk: vertex 0 down to beg c, along c, up from end c."""
     graph, _ = base_pair_42
     parent, _ = tree_order(graph)
     tree = {int(x) for x in parent if x >= 0} | {int(graph.inv[x]) for x in parent if x >= 0}
-    _, cotree, idx, sgn = _cycle_supports(graph)
+    cotree, idx, sgn, rows, darts = _cycle_table(graph)
     assert cotree.tolist() == [int(x) for x in graph.edges() if int(x) not in tree]
     for j, c in enumerate(map(int, cotree)):
         assert (idx[c], sgn[c], idx[graph.inv[c]], sgn[graph.inv[c]]) == (j, 1, j, -1)
     assert np.all(idx[list(tree)] == -1) and np.all(sgn[list(tree)] == 0)
 
+    def path(v):  # parent darts from vertex 0 down to v
+        out = []
+        while v:
+            out.append(int(parent[v]))
+            v = int(graph.beg[parent[v]])
+        return out
+
+    for j, c in enumerate(map(int, cotree)):
+        want = path(int(graph.beg[c])) + [c] + [int(graph.inv[t]) for t in path(graph.end(c))]
+        assert sorted(darts[rows == j].tolist()) == sorted(want)
+    assert _cycle_table(graph) is _cycle_table(graph)
+
+
+def assert_matrices_match_loops(graph, action, p):
+    """homology_rep's matrices mod p and the stacked packed rows of A - I
+    against the vertex-by-vertex loops, generator by generator."""
+    cotree, idx, sgn, _, _ = _cycle_table(graph)
+    beta = len(cotree)
+    mod = homology_rep(graph, action, p)
+    stacked = _gf2_fixed_rows(graph, action)
+    assert stacked.shape == (beta * len(action.group.gens), (beta + 63) // 64)
+    for k, (perm, a) in enumerate(zip(action.group.gens, mod.action)):
+        want = matrix_by_loop(graph, perm[graph.n :] - graph.n, cotree, idx, sgn)
+        assert np.array_equal(a, want % p)
+        block = stacked[k * beta : (k + 1) * beta]
+        assert np.array_equal(block, gfp.gf2_pack((want - np.eye(beta, dtype=np.int64)) % 2))
+
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_generator_matrices_match_vertex_loops(base_pair_42, p):
-    """Dense and packed builders give the loops' matrix, the homology
-    module its reduction mod p."""
-    graph, action = base_pair_42
-    layers, cotree, idx, sgn = _cycle_supports(graph)
-    mod = homology_rep(graph, action, p)
-    for perm, a in zip(action.group.gens, mod.action):
-        dp = perm[graph.n :] - graph.n
-        want = matrix_by_loop(graph, dp, cotree, idx, sgn)
-        assert np.array_equal(_generator_matrix_int(graph, dp, layers, cotree, idx, sgn), want)
-        assert np.array_equal(a, want % p)
-        packed = _packed_generator_matrix(graph, dp, layers, cotree, idx)
-        assert np.array_equal(packed, gfp.gf2_pack(want % 2))
+    """Dense and packed matrices read off the cycle table are the loops'."""
+    assert_matrices_match_loops(*base_pair_42, p)
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """Connected semiedge-free dart graphs: a random spanning tree, then
+    links, parallel edges and loops between random vertices."""
+    n = draw(st.integers(1, 7))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=8))
+    beg = [u for pair in pairs for u in pair]
+    inv = [x ^ 1 for x in range(len(beg))]
+    return Graph(n, np.array(beg, dtype=np.int32), np.array(inv, dtype=np.int32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_multigraphs())
+def test_multigraph_matrices_match_vertex_loops(g):
+    """Loops and parallel edges included: loop reversals and swaps of
+    parallel darts act on the walks as the loops say."""
+    assert_matrices_match_loops(g, aut_group(g), 3)
+
+
+def test_both_routes_refuse_semiedges_and_disconnection():
+    """The dense and the packed route check the same preconditions."""
+    semi = Graph(3, np.array([0, 1, 1, 2, 0, 2, 0], dtype=np.int32),
+                 np.array([1, 0, 3, 2, 5, 4, 6], dtype=np.int32))
+    split = Graph(4, np.array([0, 1, 2, 3], dtype=np.int32),
+                  np.array([1, 0, 3, 2], dtype=np.int32))
+    for g, match in ((semi, "semiedge"), (split, "connected")):
+        action = GraphAction(g, PermGroup(g.n + g.m, []))
+        with pytest.raises(GraphError, match=match):
+            homology_rep(g, action, 3)
+        with pytest.raises(GraphError, match=match):
+            minimal_admissible_covers(g, action, 2 * g.n, primes=[2])
 
 
 @pytest.mark.parametrize("p", [3, 5])

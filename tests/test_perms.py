@@ -54,6 +54,18 @@ def test_point_stabiliser(s4):
     assert sr.point_stabiliser(2).order() == 1
 
 
+@pytest.mark.parametrize("point", [-1, 4, 7, 2**70])
+def test_points_out_of_range_raise(point):
+    """A point outside 0..degree-1 is refused, not wrapped round (-1 would
+    read point 3) or sifted towards a base point it never reaches."""
+    g = PermGroup(4, [from_cycles(4, [(0, 1)]), from_cycles(4, [(2, 3)])])
+    calls = [lambda: g.orbit(point), lambda: g.orbits([0, point]),
+             lambda: g.point_stabiliser(point), lambda: is_semiregular(g, [point, 0])]
+    for call in calls:
+        with pytest.raises(GroupError, match="out of range"):
+            call()
+
+
 def test_orbit_stabiliser_random():
     rng = np.random.default_rng(7)
     for _ in range(20):
