@@ -123,6 +123,10 @@ def expand_level(pairs, cfg: CensusConfig, level):
 
 
 def run_census(cfg: CensusConfig) -> CensusResult:
+    if cfg.max_order < 1:
+        raise GraphError("max order must be at least 1, got %d" % cfg.max_order)
+    if cfg.max_level < 0:
+        raise GraphError("levels must be at least 0, got %d" % cfg.max_level)
     p0, witness_classes = base_pairs(cfg)
     levels = []
     current = p0

@@ -14,11 +14,18 @@ so the packed elimination picks the lightest row as each pivot and works a
 word at a time on the rows that touch it, which keeps the fill-in low.
 `EchelonBasis` grows a row space a block of rows at a time (one product to
 reduce the block, one elimination of the residual), which is how the
-MeatAxe spins and the Krylov sequences feed it.  `is_prime` is the
-primality test for the field sizes the cover code accepts.
+MeatAxe spins and the Krylov sequences feed it.  Polynomials are plain
+lists of Python ints in 0..p-1, lowest degree first and without trailing
+zeros, so the zero polynomial is [] and the degree is the length less one:
+the minimal polynomials the MeatAxe factors have degree at most a few
+dozen, where a numpy call per step costs more than the arithmetic.
+`is_prime` is the primality test for the field sizes the cover code
+accepts.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 import numpy as np
 
@@ -354,213 +361,186 @@ def gf2_nullspace_packed(w, ncols):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials mod p (coefficient arrays, low degree first)
+# univariate polynomials mod p: lists of ints in 0..p-1, lowest degree first,
+# without trailing zeros, so the zero polynomial is []
 # ---------------------------------------------------------------------------
 
 
 def poly_trim(f):
-    f = np.asarray(f, dtype=np.int64)
-    nz = np.nonzero(f)[0]
-    if nz.size == 0:
-        return np.zeros(1, dtype=np.int64)
-    return f[: int(nz[-1]) + 1]
+    """The coefficients of f without trailing zeros, as a new list."""
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
 def poly_deg(f):
-    f = poly_trim(f)
-    return len(f) - 1 if np.any(f) else -1
+    return len(f) - 1
 
 
 def poly_mul(f, g, p):
-    return poly_trim(np.convolve(f, g) % p)
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, c in enumerate(f):
+        if c:
+            for j, d in enumerate(g, i):
+                out[j] += c * d
+    # the leading coefficient is a product of two units
+    return [c % p for c in out]
 
 
 def poly_add(f, g, p):
-    k = max(len(f), len(g))
-    out = np.zeros(k, dtype=np.int64)
-    out[: len(f)] += f
-    out[: len(g)] += g
-    return poly_trim(out % p)
-
-
-def poly_sub(f, g, p):
-    k = max(len(f), len(g))
-    out = np.zeros(k, dtype=np.int64)
-    out[: len(f)] += f
-    out[: len(g)] -= g
-    return poly_trim(out % p)
+    return poly_trim((a + b) % p for a, b in zip_longest(f, g, fillvalue=0))
 
 
 def poly_monic(f, p):
-    f = poly_trim(f % p)
-    lead = int(f[-1])
-    if lead == 1:
+    if not f or f[-1] == 1:
         return f
-    return (f * inv_mod(lead, p)) % p
+    inv = inv_mod(f[-1], p)
+    return [c * inv % p for c in f]
 
 
 def poly_divmod(f, g, p):
-    f = poly_trim(normalize(f, p))
-    g = poly_trim(normalize(g, p))
-    if not np.any(g):
+    """(q, r) with f = q g + r and deg r < deg g."""
+    if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    df, dg = len(f) - 1, len(g) - 1
-    if not np.any(f) or df < dg:
-        return np.zeros(1, dtype=np.int64), f
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return [], f
     ginv = inv_mod(g[-1], p)
-    r = f.copy()
-    q = np.zeros(df - dg + 1, dtype=np.int64)
-    for shift in range(df - dg, -1, -1):
-        c = (int(r[shift + dg]) * ginv) % p
+    low = g[:dg]
+    r = list(f)
+    q = [0] * (len(f) - dg)
+    # entries of r drift outside 0..p-1 and are reduced where they are read
+    for shift in range(len(q) - 1, -1, -1):
+        c = r[shift + dg] * ginv % p
         if c:
             q[shift] = c
-            r[shift : shift + dg + 1] = (r[shift : shift + dg + 1] - c * g) % p
-    return poly_trim(q), poly_trim(r)
-
-
-def poly_mod(f, g, p):
-    return poly_divmod(f, g, p)[1]
+            for i, b in enumerate(low, shift):
+                r[i] -= c * b
+    return q, poly_trim(c % p for c in r[:dg])
 
 
 def poly_gcd(f, g, p):
-    f = poly_trim(f % p)
-    g = poly_trim(g % p)
-    while np.any(g):
-        f, g = g, poly_mod(f, g, p)
-    if not np.any(f):
-        return f
+    """Monic gcd of f and g; [] when both are zero."""
+    while g:
+        f, g = g, poly_divmod(f, g, p)[1]
     return poly_monic(f, p)
 
 
 def poly_pow_mod(f, e, g, p):
-    out = np.ones(1, dtype=np.int64)
-    base = poly_mod(f, g, p)
+    """f^e mod g, by repeated squaring."""
+    out = [1]
+    base = poly_divmod(f, g, p)[1]
     while e:
         if e & 1:
-            out = poly_mod(poly_mul(out, base, p), g, p)
-        base = poly_mod(poly_mul(base, base, p), g, p)
+            out = poly_divmod(poly_mul(out, base, p), g, p)[1]
         e >>= 1
+        if e:
+            base = poly_divmod(poly_mul(base, base, p), g, p)[1]
     return out
 
 
-def poly_deriv(f, p):
-    f = poly_trim(f)
-    if len(f) == 1:
-        return np.zeros(1, dtype=np.int64)
-    return poly_trim((f[1:] * np.arange(1, len(f), dtype=np.int64)) % p)
-
-
 def _squarefree_parts(f, p):
-    """List of (squarefree factor, multiplicity), Yun's algorithm in char p."""
-    out = {}
+    """List of (squarefree factor, multiplicity) of monic f, Yun's algorithm
+    in char p.  Each irreducible factor of f lies in exactly one part."""
+    out = []
 
     def rec(g, scale):
-        if poly_deg(g) <= 0:
+        if len(g) < 2:
             return
-        d = poly_deriv(g, p)
-        if not np.any(d):
+        deriv = poly_trim(i * a % p for i, a in enumerate(g) if i)
+        if not deriv:
             # g = h(x^p) = h(x)^p over the prime field
-            rec(poly_trim(g[::p]), scale * p)
+            rec(g[::p], scale * p)
             return
-        c = poly_gcd(g, d, p)
+        c = poly_gcd(g, deriv, p)
         w = poly_divmod(g, c, p)[0]
         m = 1
-        while poly_deg(w) > 0:
+        while len(w) > 1:
             y = poly_gcd(w, c, p)
             z = poly_divmod(w, y, p)[0]
-            if poly_deg(z) > 0:
-                key = tuple(int(x) for x in poly_monic(z, p))
-                out[key] = out.get(key, 0) + m * scale
+            if len(z) > 1:
+                out.append((z, m * scale))
             c = poly_divmod(c, y, p)[0]
             w = y
             m += 1
         rec(c, scale)  # leftover carries the p-th-power part
 
-    rec(poly_monic(f, p), 1)
-    return [(np.array(k, dtype=np.int64), m) for k, m in out.items()]
+    rec(f, 1)
+    return out
 
 
 def _distinct_degree(f, p):
     """Split squarefree monic f into (product of deg-d irreducibles, d)."""
     out = []
-    x = np.array([0, 1], dtype=np.int64)
-    h = x.copy()
+    h = [0, 1]
     d = 0
-    while poly_deg(f) >= 2 * (d + 1):
+    while len(f) - 1 >= 2 * (d + 1):
         d += 1
         h = poly_pow_mod(h, p, f, p)
-        g = poly_gcd(poly_sub(h, x, p), f, p)
-        if poly_deg(g) > 0:
+        g = poly_gcd(poly_add(h, [0, p - 1], p), f, p)  # gcd(h - x, f)
+        if len(g) > 1:
             out.append((g, d))
             f = poly_divmod(f, g, p)[0]
-            h = poly_mod(h, f, p)
-    if poly_deg(f) > 0:
-        out.append((f, poly_deg(f)))
+            h = poly_divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
     return out
 
 
 def _equal_degree(f, d, p, rng):
     """Cantor-Zassenhaus split of f into its degree-d irreducible factors."""
-    n = poly_deg(f)
-    if n == d:
-        return [f]
     out = []
     stack = [f]
     while stack:
         g = stack.pop()
-        if poly_deg(g) == d:
+        if len(g) - 1 == d:
             out.append(g)
             continue
         while True:
-            h = rng.integers(0, p, size=poly_deg(g), dtype=np.int64)
-            h = poly_trim(h)
-            if poly_deg(h) < 1:
+            h = poly_trim(rng.integers(0, p, size=len(g) - 1).tolist())
+            if len(h) < 2:
                 continue
             if p == 2:
-                t = h.copy()
-                acc = h.copy()
+                # the trace map h + h^2 + ... + h^(2^(d-1)) mod g
+                t = acc = h
                 for _ in range(d - 1):
                     t = poly_pow_mod(t, 2, g, p)
                     acc = poly_add(acc, t, p)
-                w = poly_gcd(acc, g, p)
             else:
-                e = (p**d - 1) // 2
-                t = poly_pow_mod(h, e, g, p)
-                t = t.copy()
-                t[0] = (t[0] - 1) % p
-                w = poly_gcd(poly_trim(t), g, p)
-            if 0 < poly_deg(w) < poly_deg(g):
-                stack.append(w)
-                stack.append(poly_divmod(g, w, p)[0])
+                acc = poly_add(poly_pow_mod(h, (p**d - 1) // 2, g, p), [p - 1], p)
+            w = poly_gcd(acc, g, p)
+            if 1 < len(w) < len(g):
+                stack += [w, poly_divmod(g, w, p)[0]]
                 break
     return out
 
 
 def factor_poly(f, p, rng=None):
-    """Factor f into monic irreducibles; returns list of (factor, multiplicity).
+    """Factor f (integer coefficients, lowest degree first) into monic
+    irreducibles; returns a list of (factor, multiplicity).
 
     Equal-degree splitting uses the supplied seeded generator, so the result
     is deterministic for a fixed seed; the list is sorted by (degree, coeffs).
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    factors = []
-    for sq, mult in _squarefree_parts(f, p):
-        for g, d in _distinct_degree(sq, p):
-            for irr in _equal_degree(g, d, p, rng):
-                factors.append((poly_monic(irr, p), mult))
-    factors.sort(key=lambda fm: (poly_deg(fm[0]), tuple(int(c) for c in fm[0])))
-    return factors
+    f = poly_monic(poly_trim(int(c) % p for c in f), p)
+    factors = [(irr, mult) for sq, mult in _squarefree_parts(f, p)
+               for g, d in _distinct_degree(sq, p) for irr in _equal_degree(g, d, p, rng)]
+    return sorted(factors, key=lambda fm: (len(fm[0]), fm[0]))
 
 
 def poly_eval_matrix(f, a, p):
     """Evaluate the polynomial f at the square matrix a (Horner)."""
     n = a.shape[0]
     out = np.zeros((n, n), dtype=np.int64)
-    for c in reversed(poly_trim(f)):
+    for c in reversed(f):
         out = matmul(out, a, p)
         if c:
-            out = (out + int(c) * np.eye(n, dtype=np.int64)) % p
+            out = (out + c * np.eye(n, dtype=np.int64)) % p
     return out
 
 
@@ -570,14 +550,16 @@ def minimal_polynomial(a, p):
     Spins Krylov sequences from standard basis vectors; each dependency is
     recovered from an augmented elimination and the local relations are
     combined by lcm.  At p = 2 the rows are Python ints instead
-    (`_minimal_polynomial_gf2`).
+    (`_minimal_polynomial_gf2`).  ValueError unless a is square.
     """
+    a = normalize(a, p)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("minimal polynomial of a non-square matrix of shape %s" % (a.shape,))
     if p == 2:
         return _minimal_polynomial_gf2(a)
     n = a.shape[0]
-    a = normalize(a, p)
     seen = EchelonBasis(n, p)
-    m = np.ones(1, dtype=np.int64)
+    m = [1]
     # rows: [reduced iterate | coordinates in the iterate sequence]; a
     # sequence meets a dependency after at most n independent iterates
     work = np.zeros((n + 1, 2 * n + 1), dtype=np.int64)
@@ -599,7 +581,7 @@ def minimal_polynomial(a, p):
                     row[:] = (row - coeff @ work[:t]) % p
             nz = np.nonzero(row[:n])[0]
             if nz.size == 0:
-                m = _poly_lcm(m, row[n : n + t + 1].copy(), p)
+                m = _poly_lcm(m, row[n : n + t + 1].tolist(), p)
                 break
             col = int(nz[0])
             row[:] = (row * inv_mod(row[col], p)) % p
@@ -613,7 +595,7 @@ def minimal_polynomial(a, p):
         seen.extend(work[:t, :n])
         if seen.dim == n:
             break
-    return poly_monic(m, p)
+    return m
 
 
 def _minimal_polynomial_gf2(a):
@@ -625,7 +607,7 @@ def _minimal_polynomial_gf2(a):
     rows = _bit_rows(a)
     low_bits = (1 << n) - 1
     seen = {}
-    m = np.ones(1, dtype=np.int64)
+    m = [1]
     for start in range(n):
         if not _gf2_insert(seen, 1 << start):
             continue
@@ -635,8 +617,7 @@ def _minimal_polynomial_gf2(a):
             x = _gf2_insert(krylov, v | 1 << (n + t), low_bits)
             if not x & low_bits:
                 rel = x >> n
-                coeffs = [(rel >> i) & 1 for i in range(rel.bit_length())]
-                m = _poly_lcm(m, np.array(coeffs, dtype=np.int64), 2)
+                m = _poly_lcm(m, [(rel >> i) & 1 for i in range(rel.bit_length())], 2)
                 break
             w = 0
             while v:
@@ -648,12 +629,9 @@ def _minimal_polynomial_gf2(a):
             _gf2_insert(seen, x & low_bits)
         if len(seen) == n:
             break
-    return poly_monic(m, 2)
+    return m
 
 
 def _poly_lcm(f, g, p):
-    if poly_deg(f) < 0 or poly_deg(g) < 0:
-        return poly_trim(f if poly_deg(g) < 0 else g)
-    h = poly_gcd(f, g, p)
-    q = poly_divmod(f, h, p)[0]
-    return poly_monic(poly_mul(q, g, p), p)
+    """Monic lcm of nonzero f and g."""
+    return poly_monic(poly_mul(poly_divmod(f, poly_gcd(f, g, p), p)[0], g, p), p)

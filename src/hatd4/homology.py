@@ -363,9 +363,12 @@ def _gf2_fixed_lines(g: Graph, action: GraphAction):
 def cover_budget(n0: int, max_order: int, primes=None, dim_override=None):
     """(p, dmax) pairs with p^d * n0 <= max_order for some d >= 1.
 
-    An explicit prime list and dim_override are checked first: CoverError
-    for an entry that is not prime or an override below 1.
+    max_order, an explicit prime list and dim_override are checked first:
+    CoverError for max_order below 1, an entry that is not prime or an
+    override below 1.
     """
+    if max_order < 1:
+        raise CoverError("max order must be at least 1, got %d" % max_order)
     bad = [p for p in primes or () if not gfp.is_prime(p)]
     if bad:
         raise CoverError("%d is not a prime" % bad[0])

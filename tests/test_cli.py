@@ -106,6 +106,25 @@ def test_covers_rejects_bad_prime_or_dim(pair42_files, capsys, option):
     assert "covers" not in captured.out
 
 
+def test_covers_rejects_bad_max_order(pair42_files, capsys):
+    for bound in ("0", "-5"):
+        assert main(["covers", *pair42_files, "--max-order", bound]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: max order must be at least 1, got %s\n" % bound
+        assert "covers" not in captured.out
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--max-order", "0"], "max order must be at least 1, got 0"),
+    (["--max-order", "-5"], "max order must be at least 1, got -5"),
+    (["--max-order", "42", "--levels", "-2"], "levels must be at least 0, got -2")],
+    ids=["max-order-0", "max-order-negative", "levels-negative"])
+def test_census_rejects_bad_budget(tmp_path, capsys, option, message):
+    assert main(["census", *option, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "out").exists()
+
+
 def test_census_cli_and_verify(tmp_path, capsys):
     assert main(["census", "--max-order", "42", "--levels", "0",
                  "--out", str(tmp_path / "out")]) == 0

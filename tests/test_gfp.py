@@ -2,7 +2,8 @@
 
 Row reduction and nullspaces are compared with sympy's DomainMatrix over
 GF(p), minimal polynomials are checked with sympy's factorisation mod p,
-and block spinning is compared with a one-vector-at-a-time spin written
+polynomial factoring, division and gcds are compared with sympy's, and
+block spinning is compared with a one-vector-at-a-time spin written
 here and, at the smallest sizes, with the exhaustive invariant-subspace
 oracle.
 """
@@ -72,6 +73,12 @@ def poly_at(coeffs, a, p):
     for c in reversed([int(c) for c in coeffs]):
         out = (out @ a + c * np.eye(n, dtype=np.int64)) % p
     return out
+
+
+def assert_poly(f, p):
+    """f is a polynomial of the list form: ints in 0..p-1, no trailing zero."""
+    assert isinstance(f, list) and all(type(c) is int and 0 <= c < p for c in f)
+    assert not f or f[-1]
 
 
 @given(matrices())
@@ -303,7 +310,8 @@ def test_block_spin_matches_oracle(case):
 def assert_minimal_polynomial(m, a, p):
     """m is monic, annihilates a, and no proper divisor m / f with f an
     irreducible factor does (factors from sympy)."""
-    assert int(m[-1]) == 1
+    assert_poly(m, p)
+    assert m[-1] == 1
     assert not np.any(poly_at(m, a, p))
     x = symbols("x")
     poly = Poly([int(c) for c in reversed(m)], x, modulus=p)
@@ -373,6 +381,95 @@ def test_gf2_minimal_polynomial_is_lcm_of_companion_blocks(case):
     m = gfp.minimal_polynomial(a, 2)
     assert [int(c) for c in m] == [int(c) % 2 for c in reversed(want.all_coeffs())]
     assert_minimal_polynomial(m, a, 2)
+
+
+POLY_PRIMES = (2, 3, 5, 7, 11, 13)
+X = symbols("x")
+
+
+def to_poly(f, p):
+    """A coefficient list, lowest degree first, as a sympy Poly mod p."""
+    return Poly(list(reversed(f)) or [0], X, modulus=p)
+
+
+def from_poly(f, p):
+    """A sympy Poly mod p as a list of ints in 0..p-1, lowest degree first,
+    without trailing zeros."""
+    return [] if f.is_zero else [int(c) % p for c in reversed(f.all_coeffs())]
+
+
+@st.composite
+def factorable_polys(draw, max_deg=36):
+    """(p, f): f a nonzero constant times a product of random polynomials of
+    degree 1-4 raised to powers 1-3, some composed with x^p first, so that
+    repeated factors, multiplicities divisible by p and f = h(x^p) all turn
+    up and Yun's characteristic-p branch runs."""
+    p = draw(st.sampled_from(POLY_PRIMES))
+    f = Poly(draw(st.integers(1, p - 1)), X, modulus=p)
+    for _ in range(draw(st.integers(0, 4))):
+        g = to_poly(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4))
+                    + [draw(st.integers(1, p - 1))], p)
+        if draw(st.booleans()):
+            g = g.compose(Poly(X**p, X, modulus=p))
+        g = g ** draw(st.integers(1, 3))
+        if f.degree() + g.degree() <= max_deg:
+            f *= g
+    return p, from_poly(f, p)
+
+
+@given(factorable_polys())
+@settings(max_examples=150, deadline=None)
+def test_factor_poly_matches_sympy(case):
+    """The product of factor^multiplicity is monic f, every factor is monic
+    and irreducible, the list is sorted by (degree, coefficients), and the
+    factorisation is sympy's."""
+    p, f = case
+    got = gfp.factor_poly(f, p, np.random.default_rng(0))
+    product = Poly(1, X, modulus=p)
+    for g, m in got:
+        assert_poly(g, p)
+        assert g[-1] == 1 and to_poly(g, p).is_irreducible
+        product *= to_poly(g, p) ** m
+    assert from_poly(product, p) == from_poly(to_poly(f, p).monic(), p)
+    assert got == sorted(got, key=lambda gm: (len(gm[0]), gm[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        want = factor_list(to_poly(f, p))[1]
+    assert sorted(got) == sorted((from_poly(g.monic(), p), m) for g, m in want)
+
+
+def test_factor_poly_takes_a_plain_list():
+    assert gfp.factor_poly([1, 0, 0, 0, 1], 2) == [([1, 1], 4)]
+
+
+def poly_lists(p, max_len=12):
+    """Polynomials of the list form mod p, the zero polynomial [] included."""
+    return st.lists(st.integers(0, p - 1), max_size=max_len).map(gfp.poly_trim)
+
+
+@given(st.sampled_from(POLY_PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), poly_lists(p), poly_lists(p))))
+@settings(max_examples=200, deadline=None)
+def test_poly_divmod_and_gcd_match_sympy(case):
+    p, f, g = case
+    gcd = to_poly(f, p).gcd(to_poly(g, p))
+    assert gfp.poly_gcd(f, g, p) == ([] if gcd.is_zero else from_poly(gcd.monic(), p))
+    if not g:
+        with pytest.raises(ZeroDivisionError):
+            gfp.poly_divmod(f, g, p)
+        return
+    q, r = gfp.poly_divmod(f, g, p)
+    assert_poly(q, p)
+    assert_poly(r, p)
+    assert len(r) < len(g)
+    assert to_poly(q, p) * to_poly(g, p) + to_poly(r, p) == to_poly(f, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
+def test_minimal_polynomial_rejects_non_square(p, shape):
+    with pytest.raises(ValueError, match="non-square"):
+        gfp.minimal_polynomial(np.zeros(shape, dtype=np.int64), p)
 
 
 def test_hom_space_rejects_unequal_generator_counts():
