@@ -13,7 +13,11 @@ the first search path: the discovered ones, and from the root on any known
 generators the caller passes in (McKay & Piperno, "Practical graph
 isomorphism, II", 2014), such as the vertex parts of a group already known
 to act on the graph.  Each node on that path keeps its orbit labels and
-rebuilds them only when a new automorphism has been found.
+rebuilds them only when a new automorphism has been found.  The vertices
+individualised on the first path are a base of the automorphism group
+(`CanonResult.base`): refinement commutes with automorphisms, so one that
+fixes them fixes the discrete partition at the first leaf and is the
+identity, with or without an arc set or known generators.
 
 Skeleton maps reach the darts through one dart table per graph and arc
 set: the darts sorted by class (semiedges, or links and loops, of one arc
@@ -307,12 +311,13 @@ class _Frame:
 
 
 class CanonResult:
-    __slots__ = ("cert", "labeling", "aut_gens", "leaves")
+    __slots__ = ("cert", "labeling", "aut_gens", "base", "leaves")
 
-    def __init__(self, cert, labeling, aut_gens, leaves):
+    def __init__(self, cert, labeling, aut_gens, base, leaves):
         self.cert = cert
         self.labeling = labeling  # vertex -> canonical position
         self.aut_gens = aut_gens  # vertex permutations
+        self.base = base          # the vertices of the first path, a base of the group
         self.leaves = leaves
 
 
@@ -443,9 +448,8 @@ def search(view: _View, known_gens=()) -> CanonResult:
             best_path[depth + 1 :] = []
         # (when state == eq the stored invariant already matches)
 
-    # discovered automorphisms first: aut_group's unknown-order chain over
-    # this list is faster in that order
-    return CanonResult(best_leaf, best_lab, gens[known:] + gens[:known], leaves)
+    # discovered automorphisms first, then the known ones
+    return CanonResult(best_leaf, best_lab, gens[known:] + gens[:known], spine, leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +465,11 @@ def canonical(g, colors=None, arcs=None, known_gens=()) -> CanonResult:
     `GraphAction`'s generators.  The search prunes by their orbits from the
     root on; a search checks each of them and raises GraphError for one that
     is not an automorphism.  The result's aut_gens lists the automorphisms
-    the search found, then the known ones.  The cache key leaves known_gens
-    out: the certificate does not depend on them, and aut_gens generates the
-    skeleton's automorphism group with or without them.
+    the search found, then the known ones, and its base the vertices of the
+    first path, a base of the group they generate.  The cache key leaves
+    known_gens out: the certificate and the first path do not depend on
+    them, and aut_gens generates the skeleton's automorphism group with or
+    without them.
     """
     key = ("canon", None if colors is None else bytes(np.asarray(colors, np.int64)),
            None if arcs is None else np.asarray(arcs, bool).tobytes())

@@ -3,8 +3,9 @@
 A permutation on 0..k-1 is a numpy int32 array of images; the product
 convention is ``x^(gh) = (x^g)^h``, so ``compose(g, h)`` applies g first.
 PermGroup keeps a lazily built Schreier-Sims chain with Schreier-vector
-transversals; base points are chosen ascending (smallest moved point),
-which makes every derived count reproducible.  The constructor installs
+transversals; base points are the smallest moved points, or the first
+moved points of a base the caller gives, which makes every derived count
+reproducible.  The constructor installs
 all its generators at level 0 at once and builds that level's orbit and
 Schreier vector in one breadth-first pass over all of them, a numpy step
 per layer, so the tree is as deep as the orbit's radius rather than one
@@ -14,15 +15,25 @@ at level j adds it to levels i+1..j only: the groups of levels 0..i hold
 it already.  ``StabChain.add(g)`` grows a chain one element at a time: it
 sifts g, installs a non-trivial residue at levels 0..j, j the level where
 the sift stopped (the same layered pass extends each orbit from the points
-it adds), and closes the chain again.  A caller that already knows the
-group order can pass it in: the chain then stops as soon as the product of
-fundamental orbit lengths reaches it, which is very fast for the
-large-degree lifted groups, and refuses any later non-member.  The early
-exit trusts that order and is exact only when it is right: a value below
-the true order that a partial chain reaches stops the build there (S4's
-generators with ``known_order=12`` report order 12).  A chain that never
-reaches its known order has sifted every pair and reports its true
-order."""
+it adds), and closes the chain again.
+
+A caller that knows a base of the group, a point sequence whose pointwise
+stabiliser is trivial, can pass it in: an element is then determined by
+its images of those points, so the Schreier pairs sift a batch at a time on
+those images alone, as (pairs x base points) arrays, and only a pair that
+sifts to a non-identity element is rebuilt in full (Seress, "Permutation
+Group Algorithms", 2003, ch. 4).  The pairs are sifted in the same order
+and the same residues installed as one at a time, so the chain is the same.
+Chains without a base sift their pairs one at a time.
+
+A caller that already knows the group order can pass it in: the chain then
+stops as soon as the product of fundamental orbit lengths reaches it, which
+is very fast for the large-degree lifted groups, and refuses any later
+non-member.  The early exit trusts that order and is exact only when it is
+right: a value below the true order that a partial chain reaches stops the
+build there (S4's generators with ``known_order=12`` report order 12).  A
+chain that never reaches its known order has sifted every pair and reports
+its true order."""
 
 from __future__ import annotations
 
@@ -127,11 +138,12 @@ Perm = np.ndarray
 
 _NO_PAIRS = np.empty((0, 2), dtype=DTYPE)
 _NEVER = np.iinfo(np.int64).max
+_SIFT_ENTRIES = 1 << 16  # most base images one batch of Schreier pairs holds
 
 
 class _Level:
     __slots__ = ("base", "gens", "inv_gens", "via", "parent", "orbit", "pending",
-                 "cursor")
+                 "cursor", "stacks")
 
     def __init__(self, degree, base):
         self.base = base
@@ -143,6 +155,19 @@ class _Level:
         self.orbit = np.array([base], dtype=DTYPE)
         self.pending = _NO_PAIRS  # Schreier pairs (point, generator) to sift
         self.cursor = 0           # pending[:cursor] are sifted
+        self.stacks = None        # (gens, inverses) stacked for base-image sifts
+
+    def stacked(self):
+        """The generators and their inverses as two arrays of rows, each
+        with the identity as its last row, so that row -1 (the `via` of the
+        base) applies nothing; built once per set of generators."""
+        if self.stacks is None:
+            degree = len(self.via)
+            gens = np.vstack(self.gens + [np.arange(degree, dtype=DTYPE)])
+            inv = np.empty_like(gens)
+            inv[np.arange(len(gens))[:, None], gens] = np.arange(degree, dtype=DTYPE)
+            self.stacks = gens, inv
+        return self.stacks
 
 
 class StabChain:
@@ -151,17 +176,19 @@ class StabChain:
     The constructor installs every non-identity generator at level 0 at once
     and builds that level's Schreier tree breadth-first over all of them, so
     its depth is the orbit's radius, not the length of one generator's
-    cycle.  The base is the first base_hint point some generator moves,
-    otherwise the smallest point the first generator moves; later levels try
-    the later hints the same way.  complete is set once the product of orbit
-    lengths reaches known_order; the chain then keeps no Schreier pairs and
-    add() only confirms members.
+    cycle.  Without base, each level's base point is the smallest point the
+    first of its generators moves.  base is a point sequence whose pointwise
+    stabiliser in the group is trivial (repeats allowed): each level's base
+    point is then the first of them its generators move, and Schreier pairs
+    sift on their images of those points alone, a batch at a time.  complete
+    is set once the product of orbit lengths reaches known_order; the chain
+    then keeps no Schreier pairs and add() only confirms members.
     """
 
-    def __init__(self, degree, gens, base_hint=(), known_order=None):
+    def __init__(self, degree, gens, base=None, known_order=None):
         self.degree = degree
         self.levels: list[_Level] = []
-        self.base_hint = list(base_hint)
+        self.known_base = None if base is None else check_points(degree, base)
         self.known_order = known_order
         self.complete = False
         gens = [g for g in (np.asarray(g, dtype=DTYPE) for g in gens)
@@ -234,16 +261,20 @@ class StabChain:
             first = len(lev.gens)
             lev.gens.extend(gens)
             lev.inv_gens.extend([None] * len(gens))
+            lev.stacks = None
             self._extend_orbit(lev, first)
         if self.known_order is not None and self.order() == self.known_order:
             self.complete = True
             self._drop_pairs()
 
     def _new_base(self, gens):
-        for hint in self.base_hint[len(self.levels):]:
-            if any(g[hint] != hint for g in gens):
-                return int(hint)
-        return int(np.flatnonzero(gens[0] != np.arange(self.degree, dtype=DTYPE))[0])
+        pts = self.known_base
+        if pts is None:
+            return int(np.flatnonzero(gens[0] != np.arange(self.degree, dtype=DTYPE))[0])
+        moved = np.array(gens)[:, pts] != pts
+        if not np.all(np.any(moved, axis=1)):
+            raise GroupError("a non-identity element fixes every base point")
+        return int(pts[np.argmax(np.any(moved, axis=0))])
 
     def _extend_orbit(self, lev, first):
         """Apply generators first.. of lev to its whole orbit, then every
@@ -296,9 +327,52 @@ class StabChain:
             u = g if u is None else g[u]
         return u
 
+    def _first_residue(self, i, pairs):
+        """The index of the first Schreier pair of level i whose generator
+        u_pt * s * u_(pt^s)^-1 is not the identity, or len(pairs).
+
+        Only the images of the base are tracked, one row per pair: the
+        transversal u_pt applied from the root down, then s, then the
+        inverse tree walks of the strip, level by level.  Rows after one
+        known to be non-trivial are dropped."""
+        pts = self.known_base
+        lev = self.levels[i]
+        gens, _ = lev.stacked()
+        q = pairs[:, 0]
+        path = []
+        while True:
+            k = lev.via[q]
+            if not np.any(k >= 0):
+                break
+            path.append(k)
+            q = np.where(k >= 0, lev.parent[q], q)
+        x = np.tile(pts, (len(pairs), 1))
+        for k in reversed(path):
+            x = gens[k[:, None], x]
+        x = gens[pairs[:, 1, None], x]
+        for level in self.levels[i:]:
+            _, inv = level.stacked()
+            col = int(np.flatnonzero(pts == level.base)[0])
+            while True:
+                k = level.via[x[:, col]]
+                out = np.flatnonzero(k == -2)
+                if len(out):
+                    x, k = x[: out[0]], k[: out[0]]
+                if not np.any(k >= 0):
+                    break
+                x = inv[k[:, None], x]
+        moved = np.flatnonzero(np.any(x != pts, axis=1))
+        return int(moved[0]) if len(moved) else len(x)
+
     def _close(self):
         """Sift pending Schreier pairs, deepest level first, until none is
-        left or the chain is complete."""
+        left or the chain is complete.  With a known base, batches of pairs
+        sift on base images: a batch starts at one pair after an install and
+        doubles while whole batches sift to the identity, up to
+        _SIFT_ENTRIES images.  The first pair that does not is rebuilt in
+        full and installed, so the chain is the one the pair-by-pair sift
+        builds."""
+        size = 1
         while not self.complete:
             i = len(self.levels) - 1
             while i >= 0 and self.levels[i].cursor == len(self.levels[i].pending):
@@ -307,6 +381,14 @@ class StabChain:
                 self._drop_pairs()
                 return
             lev = self.levels[i]
+            if self.known_base is not None:
+                pairs = lev.pending[lev.cursor : lev.cursor + size]
+                hit = self._first_residue(i, pairs)
+                lev.cursor += hit
+                if hit == len(pairs):
+                    size = min(2 * size, max(1, _SIFT_ENTRIES // len(self.known_base)))
+                    continue
+                size = 1
             pt, k = lev.pending[lev.cursor]
             lev.cursor += 1
             u = self._transversal(lev, int(pt))
@@ -315,6 +397,9 @@ class StabChain:
             resid, j = self._strip(w, i)
             if not is_identity(resid):
                 self._install(i + 1, j, [resid])
+            elif self.known_base is not None:
+                raise AssertionError("a pair whose base images sift to a non-identity "
+                                     "element sifts to the identity in full")
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +471,8 @@ class PermGroup:
         if all(g[point] == point for g in self.gens):
             return PermGroup(self.degree, self.gens, known_order=self.order())
         order = self.order()
-        ch = StabChain(self.degree, self.gens, base_hint=(int(point),), known_order=order)
+        ch = StabChain(self.degree, self.gens, base=(point, *self.chain().base()),
+                       known_order=order)
         if ch.levels[0].base != point:
             raise GroupError("stabiliser chain failed to anchor at the point")
         stab_order = order // len(ch.levels[0].orbit)

@@ -6,7 +6,9 @@ vertices and darts (vertices first); compatibility with beg and inv is
 checked generator by generator.  The automorphism group of a graph, and of
 a digraph (the same with its arc set kept), is built one way: the skeleton
 automorphisms the canonical search finds, lifted to the darts, and the
-dart maps that fix every vertex, with the order known from both parts.
+dart maps that fix every vertex, with the order known from both parts: the
+skeleton group's from a chain on the search's first path, which is a base
+of that group.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from hatd4 import canon
 from hatd4.graphs import Graph, GraphError
-from hatd4.perms import DTYPE, PermGroup, is_dihedral_8, orbit_labels
+from hatd4.perms import DTYPE, PermGroup, StabChain, is_dihedral_8, orbit_labels
 
 ARC_TRANSITIVE = "ArcTransitive"
 HALF_ARC_TRANSITIVE = "HalfArcTransitive"
@@ -107,9 +109,11 @@ def aut_group(g: Graph) -> GraphAction:
 def _lifted_action(g: Graph, arcs=None) -> GraphAction:
     """The automorphisms of g that keep the arc set arcs: the skeleton
     automorphisms of the canonical search, each lifted to the darts, and
-    the dart maps that fix every vertex.  The order is known: the
-    skeleton group's times the local group's."""
-    vmaps = canon.canonical(g, arcs=arcs).aut_gens
+    the dart maps that fix every vertex.  The order is known: the skeleton
+    group's, from a chain on the search's base, times the local group's.
+    GraphError if the lifted group's chain does not reach it."""
+    res = canon.canonical(g, arcs=arcs)
+    vmaps = res.aut_gens
     pairs = []
     for vmap in vmaps:
         dmap = canon.extend_vertex_map_to_darts(g, g, vmap, arcs)
@@ -119,8 +123,12 @@ def _lifted_action(g: Graph, arcs=None) -> GraphAction:
     local, local_order = canon.local_dart_gens(g, arcs)
     ident = np.arange(g.n, dtype=DTYPE)
     pairs += [(ident, dmap) for dmap in local]
-    skel_order = PermGroup(g.n, vmaps).order() if vmaps else 1
-    return GraphAction.from_vertex_dart(g, pairs, known_order=skel_order * local_order)
+    order = StabChain(g.n, vmaps, base=res.base).order() * local_order
+    action = GraphAction.from_vertex_dart(g, pairs, known_order=order)
+    if action.group.order() != order:
+        raise GraphError("lifted automorphism group has order %d, not %d"
+                         % (action.group.order(), order))
+    return action
 
 
 def transitivity_profile(g: Graph, action: GraphAction) -> TransitivityProfile:

@@ -57,6 +57,29 @@ def random_simple_connected(rng, n_lo=3, n_hi=9):
             return g
 
 
+def random_arcs(g, rng):
+    """One dart of each edge of a graph without semiedges, drawn at random
+    (test helper)."""
+    arcs = np.zeros(g.m, dtype=bool)
+    for x in range(g.m):
+        y = int(g.inv[x])
+        if x < y:
+            arcs[rng.choice((x, y))] = True
+    return arcs
+
+
+def vertex_automorphisms(g, arcs=None):
+    """Every vertex permutation that keeps the multiplicity of each ordered
+    pair of adjacent vertices (of each arc, given an arc set), found by
+    trying all n! of them (brute-force oracle)."""
+    darts = np.ones(g.m, dtype=bool) if arcs is None else np.asarray(arcs, dtype=bool)
+    adj = np.zeros((g.n, g.n), dtype=np.int64)
+    np.add.at(adj, (g.beg[darts], g.end()[darts]), 1)
+    perms = np.array(list(itertools.permutations(range(g.n))), dtype=np.int64)
+    same = np.all(adj[perms[:, :, None], perms[:, None, :]] == adj, axis=(1, 2))
+    return perms[same]
+
+
 def relabel_graph(g, rng):
     """Random vertex and dart relabeling of a graph (test helper)."""
     vp = np.array(rng.sample(range(g.n), g.n), dtype=np.int32)

@@ -3,6 +3,8 @@ table, the breadth-first spanning tree and the structural profile."""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hatd4 import census as CE
 from hatd4.graphs import Graph, GraphError, certificate, structural_profile
 from hatd4.perms import PermGroup
 from hatd4.symmetry import aut_group
+from tests.conftest import random_arcs, random_simple_connected, vertex_automorphisms
 
 
 def fresh(g):
@@ -168,6 +171,25 @@ def test_seeded_circulants_match_unseeded(case, reflect):
     # the rotation also keeps the arc set; the reflection reverses it
     _, seeded_arcs = check_seeding(h, [rot], arcs=harcs)
     assert seeded_arcs.cert == canon.canonical(fresh(g), arcs=arcs).cert
+
+
+# ---------------------------------------------------------------------------
+# the first path is a base
+# ---------------------------------------------------------------------------
+
+
+def test_first_path_is_a_base():
+    """On the random graphs of test_aut_small_graphs_vs_brute_force, with
+    and without a random arc set, the only automorphism that fixes every
+    vertex of CanonResult.base is the identity."""
+    rng = random.Random(23)
+    for _ in range(30):
+        g = random_simple_connected(rng, 3, 8)
+        for arcs in (None, random_arcs(g, rng)):
+            base = canon.canonical(g, arcs=arcs).base
+            auts = vertex_automorphisms(g, arcs)
+            fixing = auts[np.all(auts[:, base] == base, axis=1)]
+            assert np.array_equal(fixing, [np.arange(g.n)])
 
 
 # ---------------------------------------------------------------------------

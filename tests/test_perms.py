@@ -406,6 +406,89 @@ def test_order_and_membership_match_sympy(case):
             assert g.contains(x)
 
 
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3),
+    st.lists(st.permutations(range(n)), min_size=1, max_size=4),
+    st.permutations(range(n)), st.integers(0, n))))
+@settings(max_examples=300, deadline=None)
+def test_chain_on_a_given_base_matches_sympy(case):
+    """A chain that sifts on the images of a given base: the base of an
+    unguided chain plus extra points, all shuffled."""
+    n, gens, probes, shuffle, extra = case
+    gens = [np.array(g, dtype=np.int32) for g in gens]
+    ref = PermutationGroup(_sympy_perms(gens))
+    points = set(StabChain(n, gens).base()) | set(shuffle[:extra])
+    base = [x for x in shuffle if x in points]
+    for known in (None, ref.order()):
+        ch = StabChain(n, gens, base=base, known_order=known)
+        assert ch.order() == ref.order()
+        assert all(b in base for b in ch.base())
+        for x in probes:
+            assert ch.contains(np.array(x, dtype=np.int32)) == ref.contains(Permutation(x))
+        assert all(ch.contains(x) for x in gens)
+
+
+def _chain_digest(ch):
+    return [(lev.base, lev.orbit.tolist(), lev.via.tolist(), lev.parent.tolist(),
+             [g.tolist() for g in lev.gens]) for lev in ch.levels]
+
+
+def _close_pair_by_pair(ch):
+    """Sift every pending Schreier pair in full, one at a time, deepest
+    level first (reference for the batched sift on base images)."""
+    while not ch.complete:
+        i = len(ch.levels) - 1
+        while i >= 0 and ch.levels[i].cursor == len(ch.levels[i].pending):
+            i -= 1
+        if i < 0:
+            ch._drop_pairs()
+            return
+        lev = ch.levels[i]
+        pt, k = lev.pending[lev.cursor]
+        lev.cursor += 1
+        u = ch._transversal(lev, int(pt))
+        w = lev.gens[k] if u is None else lev.gens[k][u]
+        resid, j = ch._strip(w, i)
+        if not np.array_equal(resid, np.arange(ch.degree)):
+            ch._install(i + 1, j, [resid])
+
+
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3),
+    st.permutations(range(n)))))
+@settings(max_examples=200, deadline=None)
+def test_base_image_sift_builds_the_pair_by_pair_chain(case):
+    n, gens, base = case
+    gens = [np.array(g, dtype=np.int32) for g in gens]
+    batched = StabChain(n, gens, base=base)
+    real = StabChain._close
+    StabChain._close = _close_pair_by_pair
+    try:
+        single = StabChain(n, gens, base=base)
+    finally:
+        StabChain._close = real
+    assert _chain_digest(batched) == _chain_digest(single)
+
+
+def test_base_sift_on_the_symmetric_group():
+    """S8 from an 8-cycle and a transposition on a base that repeats a
+    point; its first level is the first base point, and seven levels fix
+    every point."""
+    gens = [from_cycles(8, [tuple(range(8))]), from_cycles(8, [(0, 1)])]
+    ch = StabChain(8, gens, base=[5, 2, 5, 7, 0, 1, 3, 6, 4])
+    assert ch.order() == math.factorial(8)
+    assert ch.base()[0] == 5 and len(set(ch.base())) == len(ch.base()) == 7
+
+
+def test_points_that_are_not_a_base_raise():
+    """A generator or an added element that fixes every base point."""
+    with pytest.raises(GroupError):
+        StabChain(4, [from_cycles(4, [(2, 3)]), from_cycles(4, [(0, 1)])], base=[2])
+    ch = StabChain(4, [from_cycles(4, [(2, 3)])], base=[2])
+    with pytest.raises(GroupError):
+        ch.add(from_cycles(4, [(0, 1)]))
+
+
 def test_chain_at_known_order_keeps_no_pairs():
     gens = [from_cycles(7, [tuple(range(7))]), from_cycles(7, [(0, 1)])]
     full = StabChain(7, gens, known_order=5040)

@@ -14,7 +14,7 @@ from hatd4.symmetry import (ARC_TRANSITIVE, HALF_ARC_TRANSITIVE, OTHER, Digraph,
                             GraphAction, aut_group, digraph_aut,
                             extract_digraph, is_relevant_pair,
                             transitivity_profile)
-from tests.conftest import random_simple_connected
+from tests.conftest import random_arcs, random_simple_connected, vertex_automorphisms
 
 
 def brute_vertex_aut_count(g):
@@ -117,6 +117,33 @@ def test_doubled_cycle_digraph_orders():
     for n, want in [(1, 2), (2, 8), (3, 24), (4, 64), (5, 160)]:
         g, arcs = consistently_oriented(n)
         assert digraph_aut(Digraph(g, arcs)).order() == want, n
+
+
+def test_digraph_aut_vs_brute_force():
+    """Random simple graphs with a random arc set: a simple graph has no
+    vertex-fixing dart maps, so the group's order is the number of vertex
+    permutations that keep the arcs."""
+    rng = random.Random(31)
+    for _ in range(40):
+        g = random_simple_connected(rng, 3, 7)
+        arcs = random_arcs(g, rng)
+        assert digraph_aut(Digraph(g, arcs)).order() == len(vertex_automorphisms(g, arcs))
+
+
+def test_lifted_order_that_is_not_reached_raises(monkeypatch):
+    """A known order the lifted chain cannot reach is an error, not a
+    smaller group reported as the automorphism group."""
+    real = canon.local_dart_gens
+
+    def inflated(g, arcs=None):
+        gens, order = real(g, arcs)
+        return gens, 2 * order
+
+    monkeypatch.setattr(canon, "local_dart_gens", inflated)
+    with pytest.raises(GraphError, match="order"):
+        aut_group(doubled_cycle(3))
+    with pytest.raises(GraphError, match="order"):
+        digraph_aut(Digraph(*consistently_oriented(3)))
 
 
 def test_digraph_invariant_one_dart_per_edge():
