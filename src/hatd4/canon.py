@@ -3,8 +3,11 @@
 The search works on the vertex set of the colored multigraph skeleton of a
 dart graph (loops, semiedges and parallel multiplicities become vertex and
 edge colors; an optional arc set adds an orientation layer).  Refinement is
-the usual counting refinement to the coarsest equitable ordered partition;
-the individualization target is the first smallest non-singleton cell.
+the usual counting refinement to the coarsest equitable ordered partition,
+run on plain ints: each vertex has one adjacency dict whose weights fold the
+edge layer and the arcs in and out into one int, and a splitter's counts are
+summed into a dict.  The individualization target is the first smallest
+non-singleton cell.
 Leaves are compared through (node-invariant path, leaf encoding); the best
 leaf is the canonical labeling, leaves that tie with it yield automorphisms,
 and a tie triggers a backjump to the deepest common ancestor with the best
@@ -28,12 +31,13 @@ the generators and the order of the group of dart maps fixing every vertex.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from math import factorial
 
 import numpy as np
 
-from hatd4.graphs import GraphError, csr_rows
+from hatd4.graphs import GraphError
 from hatd4.perms import inverse, orbit_labels
 
 DTYPE = np.int32
@@ -51,10 +55,7 @@ class _View:
         "n", "base_rank", "base_tuple",
         "eu", "ew", "emult",            # one row per unordered link pair
         "au", "aw", "amult",            # one row per ordered arc pair
-        "und_indptr", "und_ind", "und_w",
-        "out_indptr", "out_ind", "out_w",
-        "in_indptr", "in_ind", "in_w",
-        "has_arcs",
+        "adj", "has_arcs",
     )
 
     def __init__(self, g, colors=None, arcs=None):
@@ -114,24 +115,17 @@ class _View:
             self.aw = np.zeros(0, dtype=DTYPE)
             self.amult = np.zeros(0, dtype=np.int64)
 
-        self.und_indptr, self.und_ind, self.und_w = _csr(
-            n, np.concatenate([self.eu, self.ew]), np.concatenate([self.ew, self.eu]),
-            np.concatenate([self.emult, self.emult]))
-        self.out_indptr, self.out_ind, self.out_w = _csr(n, self.au, self.aw, self.amult)
-        self.in_indptr, self.in_ind, self.in_w = _csr(n, self.aw, self.au, self.amult)
-
-
-def _csr(n, src, dst, w):
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[order].astype(DTYPE), w[order].astype(np.int64)
-
-
-def _gather(indptr, ind, w, pts):
-    """Concatenated (targets, weights) of the CSR rows of pts."""
-    idx = csr_rows(indptr, pts)
-    return ind[idx], w[idx]
+        # adj[x][y]: the edges of x and y, the arcs y -> x and the arcs
+        # x -> y as one int in radix big, which exceeds any layer's count;
+        # refinement adds it to y's count for a splitter holding x
+        big = (int(self.emult.sum()) + int(self.amult.sum())) * 4 + 2
+        adj = [{} for _ in range(n)]
+        for u, w, k in zip(self.eu.tolist(), self.ew.tolist(), self.emult.tolist()):
+            adj[u][w] = adj[w][u] = k * big * big
+        for u, w, k in zip(self.au.tolist(), self.aw.tolist(), self.amult.tolist()):
+            adj[u][w] = adj[u].get(w, 0) + k
+            adj[w][u] = adj[w].get(u, 0) + k * big
+        self.adj = adj
 
 
 # ---------------------------------------------------------------------------
@@ -193,48 +187,46 @@ class _Partition:
 
 
 def _refine(part: _Partition, view: _View, splitters: deque):
-    """Counting refinement to the coarsest equitable partition (in place)."""
-    key = np.zeros(view.n, dtype=np.int64)
-    big = np.int64(max(int(view.emult.sum()) + int(view.amult.sum()), 1) * 4 + 2)
-    lab, pos, cstart = part.lab, part.pos, part.cstart
+    """Counting refinement to the coarsest equitable partition (in place).
+
+    Splitters are lists of vertices.  The partition is worked on as lists
+    of ints and written back at the end."""
+    adj = view.adj
+    lab, pos, cstart = part.lab.tolist(), part.pos.tolist(), part.cstart.tolist()
     while splitters:
         w = splitters.popleft()
-        touched, w0 = _gather(view.und_indptr, view.und_ind, view.und_w, w)
-        np.add.at(key, touched, w0 * (big * big))
-        if view.has_arcs:
-            t1, w1 = _gather(view.in_indptr, view.in_ind, view.in_w, w)
-            np.add.at(key, t1, w1 * big)
-            t2, w2 = _gather(view.out_indptr, view.out_ind, view.out_w, w)
-            np.add.at(key, t2, w2)
-            touched = np.concatenate([touched, t1, t2])
-        if touched.size == 0:
-            continue
+        if len(w) == 1:
+            key = adj[w[0]]     # read, never written
+        else:
+            key = {}
+            for x in w:
+                for y, k in adj[x].items():
+                    key[y] = key.get(y, 0) + k
         # splitting a cell only rewrites cstart inside it, so every end
         # found here stays valid through the loop
-        cids = np.unique(cstart[pos[touched]])
-        for s, e in zip(cids.tolist(), part.cell_ends(cids).tolist()):
+        for s in sorted({cstart[pos[y]] for y in key}):
+            e = bisect_right(cstart, s, s)
             if e - s == 1:
                 continue
             members = lab[s:e]
-            vals = key[members]
-            if vals.max() == vals.min():
+            vals = [key.get(v, 0) for v in members]
+            if min(vals) == max(vals):
                 continue
-            order = np.argsort(vals, kind="stable")
-            members = members[order]
-            vals = vals[order]
+            order = sorted(range(e - s), key=vals.__getitem__)
+            members = [members[i] for i in order]
+            vals = [vals[i] for i in order]
             lab[s:e] = members
-            pos[members] = np.arange(s, e, dtype=DTYPE)
-            breaks = (np.flatnonzero(vals[1:] != vals[:-1]) + 1).tolist()
-            frag_starts = [0] + breaks
-            frag_ends = breaks + [e - s]
-            sizes = [fe - fs for fs, fe in zip(frag_starts, frag_ends)]
-            largest = sizes.index(max(sizes))
-            for k, (fs, fe) in enumerate(zip(frag_starts, frag_ends)):
-                cstart[s + fs : s + fe] = s + fs
-                if k != largest:
+            for i, v in enumerate(members, s):
+                pos[v] = i
+            breaks = [i for i in range(1, e - s) if vals[i] != vals[i - 1]]
+            frags = list(zip([0] + breaks, breaks + [e - s]))
+            largest = max(frags, key=lambda f: f[1] - f[0])
+            for fs, fe in frags:
+                cstart[s + fs : s + fe] = [s + fs] * (fe - fs)
+                if fs != largest[0]:
                     splitters.append(members[fs:fe])
-            splitters.append(members[frag_starts[largest]:frag_ends[largest]])
-        key[touched] = 0
+            splitters.append(members[largest[0]:largest[1]])
+    part.lab[:], part.pos[:], part.cstart[:] = lab, pos, cstart
 
 
 def _node_invariant(part: _Partition, view: _View):
@@ -361,7 +353,7 @@ def search(view: _View, known_gens=()) -> CanonResult:
     gens = _known_automorphisms(view, known_gens)
     known = len(gens)
     root = _Partition.from_ranks(view.base_rank)
-    q = deque(root.lab[s:e].copy() for s, e in zip(*root.cells()))
+    q = deque(root.lab[s:e].tolist() for s, e in zip(*root.cells()))
     _refine(root, view, q)
 
     best_path = []      # node invariant per depth (1-based)
@@ -427,7 +419,7 @@ def search(view: _View, known_gens=()) -> CanonResult:
         fr.explored.append(v)
         child = fr.part.copy()
         child.individualize(v)
-        _refine(child, view, deque([np.array([v], dtype=DTYPE)]))
+        _refine(child, view, deque([[v]]))
         inv_bytes = _node_invariant(child, view)
         depth = len(prefix)  # child depth-1 index into best_path
         state = fr.state

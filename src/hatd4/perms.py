@@ -470,11 +470,14 @@ class PermGroup:
         (point,) = check_points(self.degree, [point]).tolist()
         if all(g[point] == point for g in self.gens):
             return PermGroup(self.degree, self.gens, known_order=self.order())
-        order = self.order()
-        ch = StabChain(self.degree, self.gens, base=(point, *self.chain().base()),
-                       known_order=order)
+        # the group's own chain serves when the point is its first base
+        # point; otherwise a second chain on the point and that base
+        ch = self.chain()
+        order = ch.order()
         if ch.levels[0].base != point:
-            raise GroupError("stabiliser chain failed to anchor at the point")
+            ch = StabChain(self.degree, self.gens, base=(point, *ch.base()), known_order=order)
+            if ch.levels[0].base != point:
+                raise GroupError("stabiliser chain failed to anchor at the point")
         stab_order = order // len(ch.levels[0].orbit)
         return PermGroup(self.degree, ch.stabiliser_gens(1), known_order=stab_order)
 

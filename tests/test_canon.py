@@ -1,10 +1,13 @@
-"""Partition-backtrack search seeded with known automorphisms, the cached dart
-table, the breadth-first spanning tree and the structural profile."""
+"""Partition-backtrack search seeded with known automorphisms, equitable
+refinement, certificates against networkx, the cached dart table, the
+breadth-first spanning tree and the structural profile."""
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,8 @@ from hatd4 import census as CE
 from hatd4.graphs import Graph, GraphError, certificate, structural_profile
 from hatd4.perms import PermGroup
 from hatd4.symmetry import aut_group
-from tests.conftest import random_arcs, random_simple_connected, vertex_automorphisms
+from tests.conftest import (random_arcs, random_simple_connected, relabel_graph,
+                            vertex_automorphisms)
 
 
 def fresh(g):
@@ -290,14 +294,14 @@ def tree_by_queue(g):
 
 
 @st.composite
-def dart_graphs(draw):
+def dart_graphs(draw, max_n=14, max_edges=20):
     """Random dart graphs, disconnected ones included: links, loops and
     semiedges between random vertices."""
-    n = draw(st.integers(1, 14))
+    n = draw(st.integers(1, max_n))
     beg, inv = [], []
     for u, w, semi in draw(st.lists(st.tuples(st.integers(0, n - 1),
                                               st.integers(0, n - 1),
-                                              st.booleans()), max_size=20)):
+                                              st.booleans()), max_size=max_edges)):
         x = len(beg)
         if semi:
             beg.append(u)
@@ -341,3 +345,94 @@ def test_structural_profile_matches_edge_loop(g):
     assert prof.semiedges == sum(int(g.inv[x]) == x for x in range(g.m))
     assert prof.loops == loops
     assert prof.parallel_classes == sum(c >= 2 for c in pair_count.values())
+
+
+# ---------------------------------------------------------------------------
+# refinement reaches an equitable partition
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def graphs_with_arcs(draw):
+    """A random dart graph, and either no arc set or a random set of darts.
+    Such a set may hold both darts of an edge or neither, so the arcs in
+    and out of a vertex do not follow from its edges and the other layer."""
+    g = draw(dart_graphs())
+    if not draw(st.booleans()):
+        return g, None
+    return g, np.array(draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)), dtype=bool)
+
+
+def layer_counts(g, arcs):
+    """The edges between each two distinct vertices and the arcs from each
+    vertex to another, as n x n matrices."""
+    link = (g.inv != np.arange(g.m)) & (g.beg != g.end())
+    und = np.zeros((g.n, g.n), dtype=np.int64)
+    np.add.at(und, (g.beg[link], g.end()[link]), 1)
+    out = np.zeros((g.n, g.n), dtype=np.int64)
+    if arcs is not None:
+        np.add.at(out, (g.beg[link & arcs], g.end()[link & arcs]), 1)
+    return und, out
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_arcs())
+def test_refined_root_partition_is_equitable(case):
+    """After refining the root partition, every vertex of a cell has the
+    same number of edges, of arcs out and of arcs in to each cell."""
+    g, arcs = case
+    view = canon._View(g, arcs=arcs)
+    part = canon._Partition.from_ranks(view.base_rank)
+    canon._refine(part, view, deque(part.lab[s:e].tolist() for s, e in zip(*part.cells())))
+    assert np.array_equal(part.pos[part.lab], np.arange(g.n))
+    starts, ends = part.cells()
+    member = np.zeros((g.n, len(starts)), dtype=np.int64)
+    for c, (s, e) in enumerate(zip(starts, ends)):
+        assert np.all(part.cstart[s:e] == s)
+        member[part.lab[s:e], c] = 1
+    und, out = layer_counts(g, arcs)
+    for layer in (und, out, out.T):
+        counts = layer @ member
+        for s, e in zip(starts, ends):
+            cell = counts[part.lab[s:e]]
+            assert np.all(cell == cell[0])
+
+
+# ---------------------------------------------------------------------------
+# certificates against networkx
+# ---------------------------------------------------------------------------
+
+
+def nx_graph(g):
+    """g as a networkx graph: the multiplicity of each pair of distinct
+    adjacent vertices on its edge, semiedge and loop counts on the vertices."""
+    out = nx.Graph()
+    for v in range(g.n):
+        out.add_node(v, semis=0, loops=0)
+    for x in range(g.m):
+        u, w, y = int(g.beg[x]), int(g.end()[x]), int(g.inv[x])
+        if x == y:
+            out.nodes[u]["semis"] += 1
+        elif u == w:
+            out.nodes[u]["loops"] += x < y
+        elif x < y:
+            mult = out.edges[u, w]["mult"] + 1 if out.has_edge(u, w) else 1
+            out.add_edge(u, w, mult=mult)
+    return out
+
+
+def nx_isomorphic(g1, g2):
+    return nx.is_isomorphic(nx_graph(g1), nx_graph(g2),
+                            node_match=lambda a, b: a == b,
+                            edge_match=lambda a, b: a["mult"] == b["mult"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(dart_graphs(max_n=6, max_edges=9), dart_graphs(max_n=6, max_edges=9),
+       st.randoms(use_true_random=False))
+def test_certificates_agree_with_networkx(g1, g2, rng):
+    """Certificates are equal exactly when networkx finds the multigraphs
+    (loops, parallel edges and semiedges counted) isomorphic."""
+    for other in (relabel_graph(g1, rng), g2):
+        same = canon.canonical(g1).cert == canon.canonical(other).cert
+        assert same == nx_isomorphic(g1, other)

@@ -54,6 +54,24 @@ def test_point_stabiliser(s4):
     assert sr.point_stabiliser(2).order() == 1
 
 
+def test_point_stabiliser_reads_the_group_chain(catalog):
+    """At the first base point of a group's chain, the stabiliser's
+    generators are that chain's level-1 generators, which are the ones a
+    second chain on the point and the same base finds."""
+    anchored = 0
+    for grp in catalog.values():
+        ch = grp.chain()
+        point = ch.levels[0].base
+        stab = grp.point_stabiliser(point)
+        twin = StabChain(grp.degree, grp.gens, base=(point, *ch.base()), known_order=grp.order())
+        assert twin.levels[0].base == point
+        assert [g.tolist() for g in stab.gens] == \
+            [g.tolist() for g in PermGroup(grp.degree, twin.stabiliser_gens(1)).gens]
+        assert stab.order() * len(ch.levels[0].orbit) == grp.order()
+        anchored += point == 0
+    assert anchored == 24
+
+
 @pytest.mark.parametrize("point", [-1, 4, 7, 2**70])
 def test_points_out_of_range_raise(point):
     """A point outside 0..degree-1 is refused, not wrapped round (-1 would

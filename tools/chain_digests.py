@@ -1,6 +1,6 @@
-"""Compare every stabiliser chain built without a base, and the order of
-every automorphism group, with those of an earlier git revision, on one op
-of each benchmark workload.
+"""Compare every canonical search, every stabiliser chain built without a
+base, and the order of every automorphism group with those of an earlier git
+revision, on one op of each benchmark workload.
 
 Run from the repository root:  python tools/chain_digests.py REV [WORKLOAD ...]
 
@@ -16,6 +16,10 @@ workload runs (seed 3, all four workloads unless some are named):
   generators, in order.
 - every `aut_group` and `digraph_aut` call is repeated with REV's functions
   on a fresh copy of its graph, and the two groups must have equal orders.
+- every `canon.search` is repeated by REV's `search` on REV's view of the
+  same graph, colours and arc set, with the same known generators.  Both
+  results must have the same `cert`, `labeling`, `aut_gens` (in order),
+  `base` and `leaves`.
 
 Each op's output is also checked against `perfbench/reference.json`.
 Prints one line per workload and exits 1 on any difference.
@@ -38,7 +42,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from workloads import WORKLOADS, matches_reference  # noqa: E402
 
 import hatd4  # noqa: E402
-from hatd4 import perms, symmetry  # noqa: E402
+from hatd4 import canon, perms, symmetry  # noqa: E402
 from hatd4.graphs import Graph  # noqa: E402
 
 MODULES = ("perms", "canon", "symmetry")
@@ -71,6 +75,14 @@ def levels(ch):
              [np.asarray(g).tolist() for g in lev.gens]) for lev in ch.levels]
 
 
+def same_result(a, b):
+    """Whether two CanonResults agree field for field."""
+    return (a.cert == b.cert and np.array_equal(a.labeling, b.labeling)
+            and len(a.aut_gens) == len(b.aut_gens)
+            and all(np.array_equal(x, y) for x, y in zip(a.aut_gens, b.aut_gens))
+            and list(a.base) == list(b.base) and a.leaves == b.leaves)
+
+
 def fresh(g):
     return Graph(g.n, g.beg, g.inv)
 
@@ -94,6 +106,8 @@ def main(argv):
     twins = weakref.WeakKeyDictionary()   # working chain -> REV's chain
     init, add = perms.StabChain.__init__, perms.StabChain.add
     aut_group, digraph_aut = symmetry.aut_group, symmetry.digraph_aut
+    view, search = canon._View, canon.search
+    ref_views = {}   # id of a working view -> REV's view of the same graph
 
     def checked_init(self, degree, gens, base=None, known_order=None):
         gens = list(gens)
@@ -124,20 +138,35 @@ def main(argv):
         tally["bad"] += out.order() != ref["symmetry"].digraph_aut(twin).order()
         return out
 
+    def twinned_view(g, colors=None, arcs=None):
+        out = view(g, colors=colors, arcs=arcs)
+        ref_views[id(out)] = ref["canon"]._View(g, colors=colors, arcs=arcs)
+        return out
+
+    def checked_search(v, known_gens=()):
+        known_gens = list(known_gens)
+        out = search(v, known_gens=known_gens)
+        twin = ref["canon"].search(ref_views.pop(id(v)), known_gens=known_gens)
+        tally["searches"] += 1
+        tally["bad"] += not same_result(out, twin)
+        return out
+
     perms.StabChain.__init__, perms.StabChain.add = checked_init, checked_add
+    canon._View, canon.search = twinned_view, checked_search
     rebind(aut_group, checked_aut_group)
     rebind(digraph_aut, checked_digraph_aut)
     failed = False
     with tempfile.TemporaryDirectory() as scratch:
         for name in names:
             wl = WORKLOADS[name]
-            tally.update(chains=0, adds=0, aut_group=0, digraph_aut=0, bad=0)
+            tally.update(chains=0, adds=0, aut_group=0, digraph_aut=0, searches=0, bad=0)
             counts, digest, _ = wl.check(wl.op(wl.build(3, scratch)))
             ok = matches_reference(name, counts, digest)
             print("%s: %d chains without a base, %d adds, %d aut_group and %d digraph_aut "
-                  "orders, %d differ; output %s reference.json"
+                  "orders, %d canonical searches, %d differ; output %s reference.json"
                   % (name, tally["chains"], tally["adds"], tally["aut_group"],
-                     tally["digraph_aut"], tally["bad"], "matches" if ok else "DIFFERS FROM"))
+                     tally["digraph_aut"], tally["searches"], tally["bad"],
+                     "matches" if ok else "DIFFERS FROM"))
             failed |= tally["bad"] > 0 or not ok
     return 1 if failed else 0
 
