@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from hatd4 import canon, gfp, meataxe
 from hatd4.covers import CoverError, check_lemma_nq, fibre_index, quotient
 from hatd4.graphs import Graph, GraphError, certificate, from_simple_edges
-from hatd4.homology import (_cycle_table, _dual_lines,
+from hatd4.homology import (HomologyModule, _cycle_table, _dual_lines,
                             _eigenvalue_candidates, _gf2_fixed_rows,
-                            _quotient_matrices, cover_budget,
+                            _quotient_matrices, _small_degree_core,
+                            cover_budget,
                             cover_from_kernel, dual_minimal_submodules,
                             homology_rep, lift_group,
                             maximal_invariant_submodules,
@@ -120,6 +121,77 @@ def test_maximal_invariant_matches_oracle_small():
                     sorted(b.tobytes() for b in want), (p, n, dmax)
             checked += 1
     assert checked == 50
+
+
+def matrix_order(a, p):
+    """The least k >= 1 with a^k = I, by powering."""
+    eye = np.eye(a.shape[0], dtype=np.int64)
+    power, k = a % p, 1
+    while not np.array_equal(power, eye):
+        power, k = gfp.matmul(power, a, p), k + 1
+    return k
+
+
+def test_maximal_invariant_with_orders_matches_oracle():
+    """Modules that record their generators' orders restrict to the kernels
+    of the low-degree factors of x^k - 1 before the MeatAxe; every dmax >= 2
+    must still find the oracle's maximal invariant subspaces.  GF(5) stops
+    at dimension 3: the oracle's subspace search of GF(5)^4 takes 45 s."""
+    rng = np.random.default_rng(19)
+    restricted = 0
+    for p, top in ((2, 4), (3, 4), (5, 3)):
+        for _ in range(12):
+            n = int(rng.integers(2, top + 1))
+            gens = []
+            for _ in range(int(rng.integers(1, 3))):
+                while True:
+                    a = rng.integers(0, p, size=(n, n))
+                    if gfp.rank(a, p) == n:
+                        gens.append(a)
+                        break
+            mod = HomologyModule(base=None, p=p, dim=n, action=gens, cotree=None,
+                                 orders=[matrix_order(a, p) for a in gens])
+            # maximality does not depend on dmax, so one oracle call covers all
+            every = meataxe.maximal_invariant_oracle(gens, p, n)
+            for dmax in range(2, n + 1):
+                core = _small_degree_core(mod, [a.T.copy() for a in gens], dmax)
+                restricted += core is not None and len(core) < n
+                got = maximal_invariant_submodules(mod, dmax)
+                want = [b for b in every if n - b.shape[0] <= dmax]
+                assert [b.tobytes() for b in got] == [b.tobytes() for b in want], (p, n, dmax)
+    assert restricted
+
+
+def test_small_degree_core_keeps_whole_module_chop(base_pair_42, cube):
+    """On real homology modules the chop of the core finds exactly the
+    minimal submodules the chop of the whole dual module finds, and some
+    case does restrict, so the comparison is not vacuous."""
+    restricted = 0
+    for graph, action in (base_pair_42, (cube, aut_group(cube))):
+        for p in (2, 3, 5, 7):
+            mod = homology_rep(graph, action, p)
+            dual = [a.T.copy() for a in mod.action]
+            for dmax in (2, 3):
+                got = dual_minimal_submodules(mod, dmax)
+                want = meataxe.minimal_submodules(dual, p, dmax)
+                assert [(b.dtype, b.shape, b.tobytes()) for b in got] == \
+                    [(b.dtype, b.shape, b.tobytes()) for b in want], (graph.n, p, dmax)
+                core = _small_degree_core(mod, dual, dmax)
+                restricted += core is not None and len(core) < mod.dim
+    assert restricted
+
+
+def test_core_keeps_repeated_factors():
+    """S3 on GF(2)^2: the transposition (order 2) has minimal polynomial
+    (x + 1)^2, which vanishes on the whole space; x + 1 alone would leave
+    a line that no submodule fits in.  The module is irreducible, so its
+    only minimal submodule is the whole space."""
+    swap = np.array([[0, 1], [1, 0]])
+    rot = np.array([[0, 1], [1, 1]])
+    mod = HomologyModule(base=None, p=2, dim=2, action=[swap, rot], cotree=None,
+                         orders=[2, 3])
+    got = dual_minimal_submodules(mod, 2)
+    assert [b.tolist() for b in got] == [[[1, 0], [0, 1]]]
 
 
 def test_cover_from_kernel_rejects_non_invariant(base_pair_42):

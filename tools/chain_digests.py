@@ -14,15 +14,21 @@ workload runs (seed 3, all four workloads unless some are named):
   every later `add` is repeated on REV's chain.  After each, both chains
   must have the same levels: base point, orbit, `via`, `parent` and strong
   generators, in order.
-- every `aut_group` and `digraph_aut` call is repeated with REV's functions
-  on a fresh copy of its graph, and the two groups must have equal orders.
+- every `aut_group` call is repeated with REV's function on a fresh copy of
+  its graph, and the two groups must have equal orders; every `digraph_aut`
+  call likewise, and the two groups must also have the same generators, in
+  order.
 - every `canon.search` is repeated by REV's `search` on REV's view of the
   same graph, colours and arc set, with the same known generators.  Both
   results must have the same `cert`, `labeling`, `aut_gens` (in order),
   `base` and `leaves`.
 
-Each op's output is also checked against `perfbench/reference.json`.
-Prints one line per workload and exits 1 on any difference.
+Each op's output is also checked against `perfbench/reference.json`.  No
+workload op calls `digraph_aut`, so the arc layer of the canonical search
+is replayed apart: `digraph_aut` runs, checked as above (its canonical
+searches included), on REPLAY_GRAPHS seeded random connected graphs with
+loops and parallel edges, each with a random arc set.  Prints one line per
+workload and one for the replay, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ from hatd4 import canon, perms, symmetry  # noqa: E402
 from hatd4.graphs import Graph  # noqa: E402
 
 MODULES = ("perms", "canon", "symmetry")
+REPLAY_GRAPHS = 200
+REPLAY_SEED = 41
 
 
 def load_revision(rev):
@@ -85,6 +93,33 @@ def same_result(a, b):
 
 def fresh(g):
     return Graph(g.n, g.beg, g.inv)
+
+
+def same_group(a, b):
+    """Whether two PermGroups have the same order and generators, in order."""
+    return (a.order() == b.order() and len(a.gens) == len(b.gens)
+            and all(np.array_equal(x, y) for x, y in zip(a.gens, b.gens)))
+
+
+def random_digraphs(count, seed):
+    """(graph, arcs) pairs: connected graphs on 1-9 vertices, a random tree
+    plus up to n + 2 random links, loops and parallel links among them, in a
+    random order, and one random dart of each edge as the arc."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 10))
+        edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+        edges += [tuple(int(x) for x in rng.integers(0, n, size=2))
+                  for _ in range(int(rng.integers(0, n + 3)))]
+        if not edges:
+            edges = [(0, 0)]
+        beg, inv = [], []
+        for k in rng.permutation(len(edges)):
+            u, w = edges[k]
+            beg += [u, w]
+            inv += [len(inv) + 1, len(inv)]
+        first = rng.integers(0, 2, size=len(edges)).astype(bool)
+        yield Graph(n, beg, inv), np.column_stack([first, ~first]).ravel()
 
 
 def rebind(original, wrapper):
@@ -135,7 +170,7 @@ def main(argv):
         out = digraph_aut(dig)
         twin = ref["symmetry"].Digraph(fresh(dig.underlying), dig.arcs)
         tally["digraph_aut"] += 1
-        tally["bad"] += out.order() != ref["symmetry"].digraph_aut(twin).order()
+        tally["bad"] += not same_group(out, ref["symmetry"].digraph_aut(twin))
         return out
 
     def twinned_view(g, colors=None, arcs=None):
@@ -168,6 +203,12 @@ def main(argv):
                      tally["digraph_aut"], tally["searches"], tally["bad"],
                      "matches" if ok else "DIFFERS FROM"))
             failed |= tally["bad"] > 0 or not ok
+    tally.update(digraph_aut=0, searches=0, bad=0)
+    for g, arcs in random_digraphs(REPLAY_GRAPHS, REPLAY_SEED):
+        checked_digraph_aut(symmetry.Digraph(g, arcs))
+    print("replay: %d digraph_aut groups, %d canonical searches, %d differ"
+          % (tally["digraph_aut"], tally["searches"], tally["bad"]))
+    failed |= tally["bad"] > 0
     return 1 if failed else 0
 
 

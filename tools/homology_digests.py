@@ -1,5 +1,6 @@
-"""Digest every homology matrix and every stacked bit-packed (A - I) array
-that one op of each benchmark workload builds, for comparing two revisions.
+"""Digest every homology matrix, every stacked bit-packed (A - I) array and
+every dual minimal submodule that one op of each benchmark workload builds,
+for comparing two revisions.
 
 Run from the repository root, once per checkout, then compare the files:
 
@@ -9,10 +10,12 @@ CHECKOUT is the root of a checkout (this one or another, e.g. an extracted
 `git archive` of an earlier revision); its `src/hatd4` and `perfbench` are
 imported.  While one op of each workload runs (seed 1, all four unless some
 are named), each `homology.homology_rep` result (the dtype, shape and bytes
-of every generator matrix, the cotree and the generator orders) and each
-matrix passed to `gfp.gf2_nullspace_packed` is digested in call order.  OUT
-holds, per workload, whether the op matched `perfbench/reference.json` and
-the list of digests; equal files mean equal matrices.
+of every generator matrix, the cotree and the generator orders), each
+matrix passed to `gfp.gf2_nullspace_packed` and each result of
+`homology.dual_minimal_submodules` (its dmax, then every basis in order) is
+digested in call order.  OUT holds, per workload, whether the op matched
+`perfbench/reference.json` and the list of digests; equal files mean equal
+matrices.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ def main(root, out, names):
 
     log = []
     rep, null = homology.homology_rep, gfp.gf2_nullspace_packed
+    dual = homology.dual_minimal_submodules
 
     def traced_rep(g, action, p):
         mod = rep(g, action, p)
@@ -51,7 +55,13 @@ def main(root, out, names):
         log.append(["packed", ncols, digest(w)])
         return null(w, ncols)
 
+    def traced_dual(mod, dmax, seed=0):
+        out = dual(mod, dmax, seed=seed)
+        log.append(["dual", mod.p, dmax, len(out), digest(*out)])
+        return out
+
     homology.homology_rep, gfp.gf2_nullspace_packed = traced_rep, traced_null
+    homology.dual_minimal_submodules = traced_dual
     result = {}
     with tempfile.TemporaryDirectory() as scratch:
         for name in names or list(WORKLOADS):
