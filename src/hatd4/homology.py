@@ -13,10 +13,10 @@ codimension d correspond to minimal admissible covers of degree p^d.
 Each is found as its annihilator, a d x beta dual basis r: over GF(2)
 with d = 1 from the bit-packed fixed space, otherwise from the dense
 module.  There a dual minimal submodule of dimension e <= dmax is killed
-by g(A^T) for each generator A of order k, where g keeps of x^k - 1 only
-its irreducible factors h of degree <= dmax, each to the power
-min(multiplicity, dmax // deg h): the minimal polynomial of A^T on the
-submodule divides x^k - 1 and has degree e.  So for dmax >= 2 the MeatAxe
+by P(A^T) for every generator A, P the product of x^(p^d) - x over
+d = 1..dmax, which is the product of the irreducible h of degree <= dmax
+to the powers dmax // deg h: the minimal polynomial of A^T on the
+submodule has degree <= e, so it divides P.  So for dmax >= 2 the MeatAxe
 chops only the largest submodule inside all those kernels, often a line,
 not the whole dual module.  Every cover then takes one route:
 `_quotient_matrices` checks invariance and gives the induced d x d
@@ -143,15 +143,15 @@ def dual_minimal_submodules(mod: HomologyModule, dmax: int, seed=0):
     the dual module; their annihilators are the maximal invariant subspaces.
 
     dmax = 1 takes `_dual_lines`.  For dmax >= 2 the MeatAxe chops only a
-    small-degree core.  Let A be a generator and f a polynomial with
-    f(A) = 0: x^k - 1 for A of order k (`HomologyModule.orders`), else the
-    minimal polynomial of A.  On a minimal submodule S of dimension
-    e <= dmax, the minimal polynomial of A^T divides f and has degree at most
-    e, so an irreducible factor h of f divides it at most
-    min(multiplicity, dmax // deg h) times, and S lies in the kernel of
-    g(A^T), g the product of those powers.  S is a submodule, so it lies in
-    the largest submodule inside all those kernels (`_small_degree_core`),
-    whose minimal submodules of dimension <= dmax are those of the module.
+    small-degree core.  Let P be the product of x^(p^d) - x over
+    d = 1..dmax: it is the product of the irreducible h of degree <= dmax,
+    each to the power dmax // deg h.  On a minimal submodule S of dimension
+    e <= dmax, the minimal polynomial of a generator A^T has degree at most
+    e, so each of its irreducible factors h has degree <= dmax and divides
+    it at most e // deg h times; it divides P, and S lies in ker P(A^T).
+    S is a submodule, so it lies in the largest submodule inside all those
+    kernels (`_small_degree_core`), whose minimal submodules of dimension
+    <= dmax are those of the module.
     """
     if dmax < 1:
         return []
@@ -160,8 +160,6 @@ def dual_minimal_submodules(mod: HomologyModule, dmax: int, seed=0):
         return _dual_lines(mod)
     dual = [a.T.copy() for a in mod.action]
     core = _small_degree_core(mod, dual, dmax)
-    if core is None:
-        return meataxe.minimal_submodules(dual, p, dmax, seed=seed)
     if not len(core):
         return []
     sub, _ = meataxe.sub_action(core, dual, p)
@@ -172,29 +170,25 @@ def dual_minimal_submodules(mod: HomologyModule, dmax: int, seed=0):
 
 def _small_degree_core(mod: HomologyModule, dual, dmax):
     """Rref basis of the largest submodule of the dual module inside every
-    ker g(A^T) (see `dual_minimal_submodules`), or None when no generator
-    restricts it, i.e. g = f for every generator.
+    ker P(A^T) (see `dual_minimal_submodules`).
 
-    Each restricting generator's kernel is taken on the current basis b by
-    Horner on b; the basis then shrinks to the vectors whose images under
-    every generator stay inside it, one left nullspace of the stacked
+    Starting from the identity, each generator's P(A^T) is applied to the
+    current basis b one factor A^(p^d) - A at a time, A^(p^d) the p-th power
+    of A^(p^(d-1)), so the work is dmax p-th powers of beta x beta matrices
+    per generator, whatever the generator's order; a nonzero image cuts b to
+    its left kernel.  The basis then shrinks to the vectors whose images
+    under every generator stay inside it, one left nullspace of the stacked
     residuals per round, until it is invariant.
     """
     p = mod.p
-    orders = getattr(mod, "orders", None)
-    basis = None
-    for i, d in enumerate(dual):
-        f = [p - 1] + [0] * (orders[i] - 1) + [1] if orders else gfp.minimal_polynomial(d, p)
-        g = _low_degree_part(f, p, dmax)
-        if len(g) == len(f):
-            continue
-        b = gfp.identity(mod.dim, p) if basis is None else basis
-        y = b
-        for c in reversed(g[:-1]):
-            y = (gfp.matmul(y, d, p) + c * b) % p
-        basis = _left_kernel_span(y, b, p)
-    if basis is None:
-        return None
+    basis = gfp.identity(mod.dim, p)
+    for a in dual:
+        y, power = basis, a
+        for _ in range(dmax):
+            power = _matrix_power(power, p, p)
+            y = gfp.matmul(y, (power - a) % p, p)
+        if y.any():
+            basis = _left_kernel_span(y, basis, p)
     stacked = meataxe._stack_generators(dual, p)
     while len(basis):
         piv = np.argmax(basis != 0, axis=1)
@@ -206,25 +200,24 @@ def _small_degree_core(mod: HomologyModule, dual, dmax):
     return basis
 
 
+def _matrix_power(a, e, p):
+    """a^e mod p for e >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else gfp.matmul(out, a, p)
+        e >>= 1
+        if not e:
+            return out
+        a = gfp.matmul(a, a, p)
+
+
 def _left_kernel_span(y, b, p):
     """Rref basis of {x b : x y = 0}, for b with independent rows."""
     x = gfp.nullspace(y.T, p)
     if not len(x):
         return np.zeros((0, b.shape[1]), dtype=np.int64)
     return gfp.rref(gfp.matmul(x, b, p), p)[0]
-
-
-def _low_degree_part(f, p, dmax):
-    """The product over the irreducible factors h of f of h^min(m, dmax //
-    deg h), m the multiplicity of h, as a monic coefficient list: every
-    minimal polynomial of degree <= dmax that divides f divides it.  The
-    factors are drawn under a fixed generator; the factor set does not
-    depend on it."""
-    g = [1]
-    for h, mult in gfp.factor_poly(f, p, np.random.default_rng(0)):
-        for _ in range(min(mult, dmax // (len(h) - 1))):
-            g = gfp.poly_mul(g, h, p)
-    return g
 
 
 def _dual_lines(mod: HomologyModule):

@@ -133,9 +133,9 @@ def matrix_order(a, p):
 
 
 def test_maximal_invariant_with_orders_matches_oracle():
-    """Modules that record their generators' orders restrict to the kernels
-    of the low-degree factors of x^k - 1 before the MeatAxe; every dmax >= 2
-    must still find the oracle's maximal invariant subspaces.  GF(5) stops
+    """Random modules that record their generators' orders, as homology
+    modules do, restrict to the small-degree core before the MeatAxe; every
+    dmax >= 2 must still find the oracle's maximal invariant subspaces.  GF(5) stops
     at dimension 3: the oracle's subspace search of GF(5)^4 takes 45 s."""
     rng = np.random.default_rng(19)
     restricted = 0
@@ -155,7 +155,7 @@ def test_maximal_invariant_with_orders_matches_oracle():
             every = meataxe.maximal_invariant_oracle(gens, p, n)
             for dmax in range(2, n + 1):
                 core = _small_degree_core(mod, [a.T.copy() for a in gens], dmax)
-                restricted += core is not None and len(core) < n
+                restricted += len(core) < n
                 got = maximal_invariant_submodules(mod, dmax)
                 want = [b for b in every if n - b.shape[0] <= dmax]
                 assert [b.tobytes() for b in got] == [b.tobytes() for b in want], (p, n, dmax)
@@ -177,15 +177,16 @@ def test_small_degree_core_keeps_whole_module_chop(base_pair_42, cube):
                 assert [(b.dtype, b.shape, b.tobytes()) for b in got] == \
                     [(b.dtype, b.shape, b.tobytes()) for b in want], (graph.n, p, dmax)
                 core = _small_degree_core(mod, dual, dmax)
-                restricted += core is not None and len(core) < mod.dim
+                restricted += len(core) < mod.dim
     assert restricted
 
 
 def test_core_keeps_repeated_factors():
     """S3 on GF(2)^2: the transposition (order 2) has minimal polynomial
-    (x + 1)^2, which vanishes on the whole space; x + 1 alone would leave
-    a line that no submodule fits in.  The module is irreducible, so its
-    only minimal submodule is the whole space."""
+    (x + 1)^2, which divides P = (x^2 - x)(x^4 - x) and so vanishes on the
+    whole space; a squarefree P such as x^4 - x alone would leave a line
+    that no submodule fits in.  The module is irreducible, so its only
+    minimal submodule is the whole space."""
     swap = np.array([[0, 1], [1, 0]])
     rot = np.array([[0, 1], [1, 1]])
     mod = HomologyModule(base=None, p=2, dim=2, action=[swap, rot], cotree=None,
