@@ -8,8 +8,10 @@ inverse-dart antisymmetry; cover vertices and darts are indexed
 lexicographically by (base index, vector in little-endian base-p order).
 `fibre_index` is the one place that encoding is computed: the derived
 cover, the translations and the lifted automorphisms all map fibres
-through it.  The tree a voltage must vanish on is the breadth-first tree
-that `Graph.spanning_tree` builds once per graph and caches.
+through it.  Voltages need not vanish on any tree: `tree_potential`
+integrates dart values along the breadth-first tree that
+`Graph.spanning_tree` builds once per graph and caches, and its residual is
+what connectivity and lifting are decided on.
 """
 
 from __future__ import annotations
@@ -182,22 +184,33 @@ class VoltageAssignment:
             raise CoverError("voltages must negate along inverse darts")
         object.__setattr__(self, "volt", v)
 
-    def cotree_span_rank(self):
-        cot = self.volt[~spanning_tree_mask(self.base)]
-        return gfp.rank(cot, self.p) if len(cot) else 0
 
+def tree_potential(g: Graph, delta, p):
+    """Potentials and residual of the dart values delta (m x d, mod p) on a
+    connected graph: ``(s, res)``.
 
-def spanning_tree(g: Graph):
-    """The cached breadth-first tree `Graph.spanning_tree` of a connected
-    graph: (parent_dart, layers)."""
+    s (n x d) integrates delta along the cached breadth-first tree
+    (`Graph.spanning_tree`) from s = 0 at vertex 0, so that
+    s[end t] = s[beg t] + delta[t] on every tree dart t.  res[x] is
+    s[beg x] + delta[x] - s[end x], the net value of delta around the
+    fundamental closed walk through x; it is zero on tree darts, and
+    delta is a potential difference iff res is zero.
+    """
     if not g.is_connected():
-        raise CoverError("spanning tree requires a connected graph")
-    return g.spanning_tree()
+        raise CoverError("tree potentials require a connected graph")
+    _, layers = g.spanning_tree()
+    s = np.zeros((g.n, delta.shape[1]), dtype=np.int64)
+    for vs, ts in layers:
+        s[vs] = (s[g.beg[ts]] + delta[ts]) % p
+    return s, (s[g.beg] + delta - s[g.end()]) % p
 
 
 def spanning_tree_mask(g: Graph):
-    """Boolean mask of the tree darts (both darts of each tree edge)."""
-    parent_dart, _ = spanning_tree(g)
+    """Boolean mask of the tree darts (both darts of each tree edge) of a
+    connected graph."""
+    if not g.is_connected():
+        raise CoverError("spanning tree requires a connected graph")
+    parent_dart, _ = g.spanning_tree()
     mask = np.zeros(g.m, dtype=bool)
     used = parent_dart[parent_dart >= 0]
     mask[used] = True
@@ -234,11 +247,18 @@ def derived_cover(zeta: VoltageAssignment):
 
     Cover vertex (v, a) gets index v*p^d + enc(a), little-endian digits;
     dart (x, a) starts at (beg x, a) and its inverse is (inv x, a + zeta(x)).
+
+    The base graph is connected, so the cover is connected iff the local
+    group at vertex 0 (the net voltages of its closed walks) is all of
+    GF(p)^d (Gross & Tucker, Topological Graph Theory, 1987, 2.5).  That
+    group is spanned by the net voltages of the fundamental cycles, the
+    residual of `tree_potential`, so the check is one rank over GF(p) and
+    the cover itself is never searched.  Tree darts may carry voltages.
     """
     g = zeta.base
     p, d = zeta.p, zeta.d
     q = p**d
-    span = zeta.cotree_span_rank()
+    span = gfp.rank(tree_potential(g, zeta.volt, p)[1], p)
     if span != d:
         raise CoverError(
             "voltages span only a %d-dimensional subspace of GF(%d)^%d; cover disconnected"
@@ -251,10 +271,7 @@ def derived_cover(zeta: VoltageAssignment):
     cover = Graph(n2, beg2, inv2)
     vm = (np.arange(n2, dtype=np.int64) // q).astype(DTYPE)
     dm = (np.arange(m2, dtype=np.int64) // q).astype(DTYPE)
-    proj = Projection(cover, g, vm, dm)
-    if not cover.is_connected():
-        raise CoverError("derived cover unexpectedly disconnected")
-    return cover, proj
+    return cover, Projection(cover, g, vm, dm)
 
 
 def translation_action(zeta: VoltageAssignment, cover: Graph) -> GraphAction:

@@ -35,8 +35,8 @@ import numpy as np
 
 from hatd4 import gfp, meataxe
 from hatd4.covers import (CoverError, VoltageAssignment, derived_cover,
-                          fibre_index, spanning_tree, spanning_tree_mask,
-                          translation_action)
+                          fibre_index, spanning_tree_mask, translation_action,
+                          tree_potential)
 from hatd4.graphs import Graph, GraphError
 from hatd4.perms import PermGroup, perm_order
 from hatd4.symmetry import GraphAction, combine
@@ -358,9 +358,9 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
 
     zeta must come from the invariant kernel of dual_basis (admissibility),
     and qmats[i] is the matrix generator i induces on the voltage group
-    GF(p)^d, as `_quotient_matrices` gives it.  Each generator's lift solves
-    vertex potentials along the spanning tree and is rejected if any cotree
-    dart violates the potential equation; fibre point a over v maps to
+    GF(p)^d, as `_quotient_matrices` gives it.  Each generator's lift takes
+    the `tree_potential` s of delta(x) = zeta(x^g) - zeta(x) Q and is
+    rejected if its residual is nonzero; fibre point a over v maps to
     a Q + s(v) over the image of v.  Potentials vanish at vertex 0, so lifts
     of generators fixing vertex 0 fix the fibre point (0, 0), and the
     stabiliser of (0, 0) is generated by the lifts of the stabiliser
@@ -368,8 +368,6 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
     """
     p, d = zeta.p, zeta.d
     cover, proj = derived_cover(zeta)
-    ends = g.end()
-    _, layers = spanning_tree(g)
     gens = []
     stab_lifts = []
     for gi, perm in enumerate(action.group.gens):
@@ -378,12 +376,9 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
         qmat = qmats[gi]
         # delta(x) = zeta(x^g) - zeta(x) Q  must be a tree potential difference
         delta = (zeta.volt[dp] - gfp.matmul(zeta.volt, qmat, p)) % p
-        s = np.zeros((g.n, d), dtype=np.int64)
-        for vs, ts in layers:
-            s[vs] = (s[g.beg[ts]] + delta[ts]) % p
-        if np.any((s[ends] - s[g.beg] - delta) % p):
+        s, res = tree_potential(g, delta, p)
+        if np.any(res):
             raise CoverError("generator %d does not lift (non-admissible voltage)" % gi)
-        s = (s - s[0]) % p
         lift_v = fibre_index(vp, s, p, d, qmat)
         lift_d = fibre_index(dp, s[g.beg], p, d, qmat)
         gens.append(combine(cover, lift_v, lift_d))

@@ -247,24 +247,23 @@ def span_points(mats, p):
 
 
 def all_subspaces(n, p):
-    """Every subspace of GF(p)^n as an rref basis (empty matrix = zero space)."""
-    zero = np.zeros((0, n), dtype=np.int64)
-    seen = {zero.tobytes(): zero}
-    frontier = [zero]
-    vectors = [np.array(v, dtype=np.int64)
-               for v in itertools.product(range(p), repeat=n) if any(v)]
-    while frontier:
-        basis = frontier.pop()
-        for v in vectors:
-            aug = np.vstack([basis, v[None, :]])
-            rr, piv = gfp.rref(aug, p)
-            if len(piv) == basis.shape[0]:
-                continue
-            key = rr.tobytes()
-            if key not in seen:
-                seen[key] = rr
-                frontier.append(rr)
-    return list(seen.values())
+    """Every subspace of GF(p)^n as an rref basis (empty matrix = zero space),
+    listed by rank, then pivot columns, then free entries: row i holds a 1
+    in pivot column i, zeros in the other pivot columns and left of its
+    pivot, and any value in each non-pivot column to its right."""
+    out = []
+    for k in range(n + 1):
+        for piv in itertools.combinations(range(n), k):
+            free = np.array([(i, c) for i, pc in enumerate(piv)
+                             for c in range(pc + 1, n) if c not in piv],
+                            dtype=np.intp).reshape(-1, 2)
+            vals = np.array(list(itertools.product(range(p), repeat=len(free))),
+                            dtype=np.int64).reshape(p ** len(free), len(free))
+            block = np.zeros((len(vals), k, n), dtype=np.int64)
+            block[:, np.arange(k), np.array(piv, dtype=np.intp)] = 1
+            block[:, free[:, 0], free[:, 1]] = vals
+            out.extend(block)
+    return out
 
 
 def invariant_subspaces_oracle(gens, p):

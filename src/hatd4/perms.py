@@ -113,7 +113,9 @@ def cycle_string(p):
 def check_perm(p, degree=None):
     p = np.asarray(p, dtype=DTYPE)
     n = len(p) if degree is None else degree
-    if len(p) != n or not np.all(np.sort(p) == np.arange(n, dtype=DTYPE)):
+    # in range and every value hit once: O(n), where sorting is O(n log n)
+    if (len(p) != n or n and (p.min() < 0 or p.max() >= n)
+            or not np.all(np.bincount(p, minlength=n) == 1)):
         raise GroupError("not a permutation of 0..%d" % (n - 1))
     return p
 

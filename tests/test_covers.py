@@ -17,7 +17,7 @@ from hatd4.covers import (CoverError, LemmaNQReport, Projection,
                           quotient, quotient_group_action, read_voltages,
                           spanning_tree_mask, translation_action,
                           write_voltages)
-from hatd4.graphs import certificate, doubled_cycle, from_simple_edges
+from hatd4.graphs import Graph, certificate, doubled_cycle, from_simple_edges
 from hatd4.perms import PermGroup
 from hatd4.symmetry import (HALF_ARC_TRANSITIVE, GraphAction, aut_group,
                             transitivity_profile)
@@ -164,6 +164,85 @@ def test_derived_cover_rejects_deficient_span():
     zeta = VoltageAssignment(tri, 3, 2, volt)
     with pytest.raises(CoverError, match="1-dimensional"):
         derived_cover(zeta)
+
+
+def _dart(g, u, v):
+    """The first dart of g from u to v."""
+    return int(np.nonzero((g.beg == u) & (g.end() == v))[0][0])
+
+
+def test_tree_voltage_gives_connected_cover():
+    """Voltages need not vanish on the tree: a voltage on a tree edge of the
+    triangle alone still winds once around its cycle, so the cover is the
+    hexagon."""
+    tri = cycle(3)
+    x = _dart(tri, 0, 1)
+    assert spanning_tree_mask(tri)[x]
+    volt = np.zeros((tri.m, 1), dtype=np.int64)
+    volt[x, 0] = volt[tri.inv[x], 0] = 1
+    cover, proj = derived_cover(VoltageAssignment(tri, 2, 1, volt))
+    assert cover.n == 6
+    assert certificate(cover).data == certificate(cycle(6)).data
+    assert is_covering(proj)
+
+
+def test_cancelling_tree_and_cotree_voltages_raise():
+    """A tree voltage and a cotree voltage that cancel around the triangle's
+    only cycle leave every net voltage zero: three disjoint triangles."""
+    tri = cycle(3)
+    mask = spanning_tree_mask(tri)
+    t, x = _dart(tri, 0, 1), _dart(tri, 1, 2)
+    assert mask[t] and not mask[x]
+    volt = np.zeros((tri.m, 1), dtype=np.int64)
+    volt[t, 0], volt[tri.inv[t], 0] = 1, 2
+    volt[x, 0], volt[tri.inv[x], 0] = 2, 1
+    with pytest.raises(CoverError, match="0-dimensional"):
+        derived_cover(VoltageAssignment(tri, 3, 1, volt))
+
+
+@st.composite
+def voltage_multigraphs(draw):
+    """A connected multigraph without semiedges (loops and parallel edges
+    allowed, darts in random order) with random voltages on every dart."""
+    n = draw(st.integers(1, 5))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=4))
+    m = 2 * len(edges)
+    order = draw(st.permutations(range(m))) if m else []
+    beg = np.zeros(m, dtype=np.int64)
+    inv = np.zeros(m, dtype=np.int64)
+    for e, (u, v) in enumerate(edges):
+        a, b = order[2 * e], order[2 * e + 1]
+        beg[a], beg[b], inv[a], inv[b] = u, v, b, a
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(0, 3))
+    volt = np.zeros((m, d), dtype=np.int64)
+    for e in range(len(edges)):
+        a, b = order[2 * e], order[2 * e + 1]
+        volt[a] = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+        volt[b] = -volt[a] % p
+    return Graph(n, beg, inv), p, d, volt
+
+
+@given(voltage_multigraphs())
+@settings(max_examples=150, deadline=None)
+def test_connectivity_verdict_matches_cover_search(case):
+    """derived_cover accepts exactly the voltages whose assembled derived
+    graph a breadth-first search finds connected, and then builds that
+    graph without searching it."""
+    g, p, d, volt = case
+    direct = Graph(g.n * p**d, fibre_index(g.beg, 0, p, d),
+                   fibre_index(g.inv, volt, p, d))
+    try:
+        cover, _ = derived_cover(VoltageAssignment(g, p, d, volt))
+    except CoverError as exc:
+        assert not direct.is_connected(), str(exc)
+        assert "dimensional subspace" in str(exc)
+    else:
+        assert "tree" not in cover._cache
+        assert direct.is_connected()
+        assert cover == direct
 
 
 def test_voltage_antisymmetry_enforced():

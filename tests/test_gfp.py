@@ -508,6 +508,54 @@ def test_span_points_one_rref_per_projective_point(p, r):
     assert sorted(got) == sorted(want.values())
 
 
+def _subspaces_by_growth(n, p):
+    """Every subspace of GF(p)^n, grown from the zero space by adding one
+    nonzero vector at a time and row-reducing (reference)."""
+    zero = np.zeros((0, n), dtype=np.int64)
+    seen = {zero.tobytes(): zero}
+    frontier = [zero]
+    vectors = [np.array(v, dtype=np.int64)
+               for v in itertools.product(range(p), repeat=n) if any(v)]
+    while frontier:
+        basis = frontier.pop()
+        for v in vectors:
+            rr, piv = gfp.rref(np.vstack([basis, v[None, :]]), p)
+            if len(piv) > basis.shape[0] and rr.tobytes() not in seen:
+                seen[rr.tobytes()] = rr
+                frontier.append(rr)
+    return list(seen.values())
+
+
+def _gaussian_binomial(n, k, p):
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("p, top", [(2, 5), (3, 4), (5, 4), (7, 3)])
+def test_all_subspaces_counts_are_gaussian_binomials(p, top):
+    for n in range(top + 1):
+        ranks = [b.shape[0] for b in meataxe.all_subspaces(n, p)]
+        assert [ranks.count(k) for k in range(n + 1)] == \
+            [_gaussian_binomial(n, k, p) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("p, top", [(2, 4), (3, 3)])
+def test_all_subspaces_match_growth(p, top):
+    """Every listed matrix is its own rref, and the list is the set the
+    growth method finds."""
+    for n in range(top + 1):
+        got = meataxe.all_subspaces(n, p)
+        for b in got:
+            assert b.dtype == np.int64 and b.shape[1] == n
+            assert np.array_equal(gfp.rref(b, p)[0], b)
+        keys = sorted(b.tobytes() for b in got)
+        assert len(set(keys)) == len(keys)
+        assert keys == sorted(b.tobytes() for b in _subspaces_by_growth(n, p))
+
+
 def test_span_points_streams():
     """span_points is a generator: each point is made when it is asked for,
     not all 2^16 - 1 up front."""

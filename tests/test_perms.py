@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from hatd4.perms import (GroupError, PermGroup, StabChain, compose,
+from hatd4.perms import (GroupError, PermGroup, StabChain, check_perm, compose,
                          derived_subgroup, from_cycles, identity_perm, inverse,
                          is_dihedral_8, is_elementary_abelian, is_semiregular,
                          is_solvable, normal_closure, orbit_labels, perm_order,
@@ -668,3 +668,22 @@ def test_membership_brute_force_midsize(catalog):
     outside = els[0].copy()
     outside[[0, 1]] = outside[[1, 0]]
     assert g.contains(outside) == (locate(outside) >= 0)
+
+
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
+    st.permutations(range(n)),
+    st.lists(st.integers(-2, n + 1), min_size=max(n - 1, 0), max_size=n + 1)))))
+@settings(max_examples=300, deadline=None)
+def test_check_perm_accepts_exactly_the_sorted_range(case):
+    """check_perm accepts a list iff it has the degree's length and sorts to
+    0..n-1: wrong lengths, negative values, values >= n and repeats fail."""
+    n, p = case
+    for degree in (n, None):
+        want = len(p) if degree is None else degree
+        ok = len(p) == want and np.array_equal(np.sort(np.asarray(p)), np.arange(want))
+        try:
+            got = check_perm(p, degree)
+        except GroupError:
+            assert not ok
+        else:
+            assert ok and np.array_equal(got, p)

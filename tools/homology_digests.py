@@ -1,6 +1,6 @@
-"""Digest every homology matrix, every stacked bit-packed (A - I) array and
-every dual minimal submodule that one op of each benchmark workload builds,
-for comparing two revisions.
+"""Digest every homology matrix, every stacked bit-packed (A - I) array,
+every dual minimal submodule and every lifted cover that one op of each
+benchmark workload builds, for comparing two revisions.
 
 Run from the repository root, once per checkout, then compare the files:
 
@@ -11,9 +11,11 @@ CHECKOUT is the root of a checkout (this one or another, e.g. an extracted
 imported.  While one op of each workload runs (seed 1, all four unless some
 are named), each `homology.homology_rep` result (the dtype, shape and bytes
 of every generator matrix, the cotree and the generator orders), each
-matrix passed to `gfp.gf2_nullspace_packed` and each result of
-`homology.dual_minimal_submodules` (its dmax, then every basis in order) is
-digested in call order.  OUT holds, per workload, whether the op matched
+matrix passed to `gfp.gf2_nullspace_packed`, each result of
+`homology.dual_minimal_submodules` (its dmax, then every basis in order)
+and each result of `homology.lift_group` (p, d, the kernel hash, then
+separate digests of the cover's beg and inv, the lifted generators, the
+translations and the stabiliser generators) is digested in call order.  OUT holds, per workload, whether the op matched
 `perfbench/reference.json` and the list of digests; equal files mean equal
 matrices.
 """
@@ -43,7 +45,7 @@ def main(root, out, names):
 
     log = []
     rep, null = homology.homology_rep, gfp.gf2_nullspace_packed
-    dual = homology.dual_minimal_submodules
+    dual, lift = homology.dual_minimal_submodules, homology.lift_group
 
     def traced_rep(g, action, p):
         mod = rep(g, action, p)
@@ -60,8 +62,15 @@ def main(root, out, names):
         log.append(["dual", mod.p, dmax, len(out), digest(*out)])
         return out
 
+    def traced_lift(g, action, zeta, dual_basis, qmats):
+        lp = lift(g, action, zeta, dual_basis, qmats)
+        log.append(["lift", lp.p, lp.d, lp.kernel_hash(),
+                    digest(lp.cover.beg, lp.cover.inv), digest(*lp.action.group.gens),
+                    digest(*lp.translations.group.gens), digest(*lp.stabiliser_gens)])
+        return lp
+
     homology.homology_rep, gfp.gf2_nullspace_packed = traced_rep, traced_null
-    homology.dual_minimal_submodules = traced_dual
+    homology.dual_minimal_submodules, homology.lift_group = traced_dual, traced_lift
     result = {}
     with tempfile.TemporaryDirectory() as scratch:
         for name in names or list(WORKLOADS):
