@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input error, 2 verification failure.
+Exit codes: 0 success, 1 input error (or an enumeration past
+`meataxe.ENUM_CAP`), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from hatd4 import census as census_mod
 from hatd4 import homology, symmetry
 from hatd4.covers import CoverError, check_lemma_nq, quotient
 from hatd4.graphs import GraphError, read_graph, structural_profile, write_graph
+from hatd4.meataxe import MeatAxeError
 from hatd4.perms import GroupError, read_group_file
 from hatd4.symmetry import GraphAction, aut_group, transitivity_profile
 
@@ -194,7 +196,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphError, GroupError, CoverError, OSError) as exc:
+    except (GraphError, GroupError, CoverError, MeatAxeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

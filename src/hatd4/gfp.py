@@ -3,15 +3,18 @@
 Matrices are numpy int64 arrays with entries reduced mod p.  Products route
 through float64 BLAS whenever the accumulated dot products fit exactly in a
 double (n*(p-1)^2 < 2**53, which holds for every size this package touches).
-At p = 2, `rref` and `minimal_polynomial` hold each row as one Python int,
-bit c being column c, and eliminate by XOR: the MeatAxe's blocks are small
-(tens of rows and columns), where a per-column numpy step costs far more
-than the few int operations it replaces.  GF(2) also gets a bit-packed
-uint64 row layout (`gf2_pack`, the same bits as the int rows) for the
-fixed-space eliminations behind degree-2 covers, where a dense int64 matrix
-would be wasteful.  Those matrices are tall and sparse (a few bits per row),
-so the packed elimination picks the lightest row as each pivot and works a
-word at a time on the rows that touch it, which keeps the fill-in low.
+At p = 2, `rref` holds each row as one Python int, bit c being column c,
+and eliminates by XOR: the MeatAxe's blocks are small (tens of rows and
+columns), where a per-column numpy step costs far more than the few int
+operations it replaces.  `minimal_polynomial` reads each Krylov sequence's
+local minimal polynomial off one `rref` of its iterates, so it has one
+loop for every prime and takes the XOR path at p = 2.  GF(2) also gets a
+bit-packed uint64 row layout (`gf2_pack`, the same bits as the int rows)
+for the fixed-space eliminations behind degree-2 covers, where a dense
+int64 matrix would be wasteful.  Those matrices are tall and sparse (a few
+bits per row), so the packed elimination picks the lightest row as each
+pivot and works a word at a time on the rows that touch it, which keeps
+the fill-in low.
 `EchelonBasis` grows a row space a block of rows at a time (one product to
 reduce the block, one elimination of the residual), which is how the
 MeatAxe spins and the Krylov sequences feed it.  Polynomials are plain
@@ -143,21 +146,6 @@ def _bit_matrix(rows, n):
     return gf2_unpack(w, n)
 
 
-def _gf2_insert(piv, x, mask=-1):
-    """Reduce the int row x against piv, a dict {lowest set bit: row}, while
-    x & mask is nonzero; file x under its lowest set bit once no row holds
-    that bit.  Returns the reduced row, whose bits on mask are all zero
-    when x, on those bits, lies in the span of the rows of piv."""
-    while x & mask:
-        low = x & -x
-        y = piv.get(low)
-        if y is None:
-            piv[low] = x
-            break
-        x ^= y
-    return x
-
-
 def _rref_gf2(a):
     """`rref` at p = 2 on int rows: a forward pass files every row under its
     lowest set bit, then back-substitution from the highest pivot down
@@ -166,7 +154,14 @@ def _rref_gf2(a):
     fill-in low on the tall sparse blocks."""
     piv = {}
     for x in sorted(set(_bit_rows(a)), key=int.bit_count):
-        _gf2_insert(piv, x)
+        # XOR x down while its lowest set bit is taken, then file it there
+        while x:
+            low = x & -x
+            y = piv.get(low)
+            if y is None:
+                piv[low] = x
+                break
+            x ^= y
     done = 0
     for low in sorted(piv, reverse=True):
         # the rows filed under bits in done hold no other pivot bit
@@ -547,87 +542,41 @@ def poly_eval_matrix(f, a, p):
 def minimal_polynomial(a, p):
     """Minimal polynomial of the square matrix a over GF(p), monic.
 
-    Spins Krylov sequences from standard basis vectors; each dependency is
-    recovered from an augmented elimination and the local relations are
-    combined by lcm.  At p = 2 the rows are Python ints instead
-    (`_minimal_polynomial_gf2`).  ValueError unless a is square.
+    The lcm of the local minimal polynomials of Krylov sequences v a^t, one
+    from each standard basis vector v that the earlier sequences do not
+    span.  The iterates are taken in batches that double their number until
+    the rref of the iterates, as columns, has fewer pivots than columns:
+    the pivots are then iterates 0..d-1, and column d of the rref writes
+    v a^d in them, so the local polynomial is x^d - sum_i r[i, d] x^i.
+    Doubling keeps the rrefs few when d is small, as for an involution.
+    ValueError unless a is square.
     """
     a = normalize(a, p)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("minimal polynomial of a non-square matrix of shape %s" % (a.shape,))
-    if p == 2:
-        return _minimal_polynomial_gf2(a)
     n = a.shape[0]
     seen = EchelonBasis(n, p)
     m = [1]
-    # rows: [reduced iterate | coordinates in the iterate sequence]; a
-    # sequence meets a dependency after at most n independent iterates
-    work = np.zeros((n + 1, 2 * n + 1), dtype=np.int64)
+    # n + 1 iterates of an n-dim space are always dependent
+    krylov = np.zeros((n + 1, n), dtype=np.int64)
     for start in range(n):
-        e = np.zeros(n, dtype=np.int64)
-        e[start] = 1
-        if seen.contains(e):
+        krylov[0] = 0
+        krylov[0, start] = 1
+        if seen.contains(krylov[0]):
             continue
-        work[:] = 0
-        piv = []
-        v = e
-        for t in range(n + 1):
-            row = work[t]
-            row[:n] = v
-            row[n + t] = 1
-            if t:
-                coeff = row[piv]
-                if np.any(coeff):
-                    row[:] = (row - coeff @ work[:t]) % p
-            nz = np.nonzero(row[:n])[0]
-            if nz.size == 0:
-                m = _poly_lcm(m, row[n : n + t + 1].tolist(), p)
+        t = 1
+        while True:
+            top = min(2 * t, n + 1)
+            for i in range(t, top):
+                krylov[i] = (krylov[i - 1] @ a) % p
+            t = top
+            r, pivots = rref(krylov[:t].T, p)
+            if len(pivots) < t:
                 break
-            col = int(nz[0])
-            row[:] = (row * inv_mod(row[col], p)) % p
-            if t:
-                cc = work[:t, col]
-                if np.any(cc):
-                    work[:t] -= np.outer(cc, row)
-                    work[:t] %= p
-            piv.append(col)
-            v = (v @ a) % p
-        seen.extend(work[:t, :n])
+        d = len(pivots)
+        m = _poly_lcm(m, [(-c) % p for c in r[:, d].tolist()] + [1], p)
+        seen.extend(krylov[:d])
         if seen.dim == n:
-            break
-    return m
-
-
-def _minimal_polynomial_gf2(a):
-    """`minimal_polynomial` at p = 2 on int rows.  Iterate t of the sequence
-    from e_start is the row v A^t in bits 0..n-1 with bit n + t set as its
-    coordinate; once the forward reduction clears the low bits, the high
-    bits are the relation among the iterates, lowest degree first."""
-    n = a.shape[0]
-    rows = _bit_rows(a)
-    low_bits = (1 << n) - 1
-    seen = {}
-    m = [1]
-    for start in range(n):
-        if not _gf2_insert(seen, 1 << start):
-            continue
-        krylov = {}
-        v = 1 << start
-        for t in range(n + 1):
-            x = _gf2_insert(krylov, v | 1 << (n + t), low_bits)
-            if not x & low_bits:
-                rel = x >> n
-                m = _poly_lcm(m, [(rel >> i) & 1 for i in range(rel.bit_length())], 2)
-                break
-            w = 0
-            while v:
-                low = v & -v
-                w ^= rows[low.bit_length() - 1]
-                v ^= low
-            v = w
-        for x in krylov.values():
-            _gf2_insert(seen, x & low_bits)
-        if len(seen) == n:
             break
     return m
 

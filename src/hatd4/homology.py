@@ -254,7 +254,8 @@ def _dual_lines(mod: HomologyModule):
 
 
 def _lines_of_spans(bases, p):
-    """Every line in the row spans of the bases, as sorted 1 x beta rref rows."""
+    """Every line in the row spans of the bases, as sorted 1 x beta rref rows;
+    MeatAxeError (from `span_points`) for a span of more than ENUM_CAP lines."""
     lines = {}
     for basis in bases:
         for rr in meataxe.span_points(basis[:, None, :], p):
@@ -313,7 +314,6 @@ class LiftedPair:
     translations: GraphAction
     stabiliser_gens: list
     base: Graph
-    base_action: GraphAction
     projection: object
 
     @property
@@ -394,8 +394,7 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
                          % (big.order(), want))
     return LiftedPair(cover=cover, action=lifted_action, zeta=zeta,
                       dual_basis=dual_basis, translations=trans,
-                      stabiliser_gens=stab_lifts, base=g, base_action=action,
-                      projection=proj)
+                      stabiliser_gens=stab_lifts, base=g, projection=proj)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +420,6 @@ def _gf2_fixed_lines(g: Graph, action: GraphAction):
     """Dual lines over GF(2) without dense matrices: the common fixed space
     of the transposed action is the nullspace of the stacked (A - I)."""
     basis = gfp.gf2_nullspace_packed(_gf2_fixed_rows(g, action), len(_cycle_table(g)[0]))
-    if len(basis) > 24:
-        raise CoverError("fixed space of dimension %d is too large to enumerate"
-                         % len(basis))
     return _lines_of_spans([basis], 2)
 
 

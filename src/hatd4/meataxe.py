@@ -23,7 +23,7 @@ import numpy as np
 from hatd4 import gfp
 
 MAX_TRIES = 200  # algebra elements is_irreducible tries before giving up
-ENUM_CAP = 2_000_000  # most hom-space points minimal_submodules enumerates
+ENUM_CAP = 2_000_000  # most projective points span_points enumerates
 
 
 class MeatAxeError(RuntimeError):
@@ -211,12 +211,6 @@ def minimal_submodules(gens, p, dmax, seed=0):
     for s in unique:
         e = module_dim(s)
         homs = hom_space(s, gens, p)
-        r = len(homs)
-        if r == 0:
-            continue
-        count = (p**r - 1) // (p - 1)
-        if count > ENUM_CAP:
-            raise MeatAxeError("hom-space enumeration too large (%d points)" % count)
         for rr in span_points(homs, p):
             if len(rr) != e:
                 raise MeatAxeError("hom image of an irreducible collapsed")
@@ -229,7 +223,12 @@ def span_points(mats, p):
     whose first nonzero coordinate is 1: one combination per point of the
     projective space over the span, generated and reduced one at a time, so
     the p^r points are never held at once.  The rref drops zero rows.
+    MeatAxeError, before the first point, when there are more than ENUM_CAP
+    points, (p^r - 1) / (p - 1).
     """
+    count = (p ** len(mats) - 1) // (p - 1)
+    if count > ENUM_CAP:
+        raise MeatAxeError("span enumeration too large (%d points)" % count)
     stack = np.asarray(mats, dtype=np.int64) % p
     for lead in range(len(stack)):
         tail = stack[lead + 1 :]

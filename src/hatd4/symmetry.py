@@ -100,10 +100,14 @@ class Digraph:
 
 
 def aut_group(g: Graph) -> GraphAction:
-    """Full automorphism group acting on vertices + darts."""
-    if not g.is_connected():
-        raise GraphError("automorphism search requires a connected graph")
-    return _lifted_action(g)
+    """Full automorphism group acting on vertices + darts, cached in g._cache
+    as `canon.canonical` caches its search."""
+    hit = g._cache.get("aut")
+    if hit is None:
+        if not g.is_connected():
+            raise GraphError("automorphism search requires a connected graph")
+        hit = g._cache["aut"] = _lifted_action(g)
+    return hit
 
 
 def _lifted_action(g: Graph, arcs=None) -> GraphAction:

@@ -61,6 +61,17 @@ def test_criterion_2_table2_level1_count(covers56):
            % len(covers56))
 
 
+def test_dim_override_gives_the_d1_covers(pair42, covers56):
+    """dim_override=1 (`covers --dim 1`) sends every prime through the d = 1
+    routes, the packed GF(2) lines and eigenvalue branching; those must
+    find exactly the d = 1 covers of the full run, where p = 2, 3, 5, 7, 11
+    and 13 take the MeatAxe route with dmax >= 2."""
+    lines = minimal_admissible_covers(pair42.graph, pair42.action, 10752, dim_override=1)
+    want = [(lp.p, lp.kernel_hash()) for lp in covers56 if lp.d == 1]
+    assert len(want) == 54
+    assert [(lp.p, lp.kernel_hash()) for lp in lines] == want
+
+
 def test_criterion_3_no_small_half_arc_transitive(census_m2000):
     records = census_m2000.records
     bad = [r for r in records if not r.arc_transitive]

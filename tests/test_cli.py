@@ -204,6 +204,21 @@ def test_composite_voltage_prime_exit_code(tmp_path, capsys, monkeypatch):
     _check_input_error(path, capsys, "classify", ":1: 4 is not a prime")
 
 
+def test_meataxe_error_exit_code(pair42_files, capsys, monkeypatch):
+    """An enumeration past `meataxe.ENUM_CAP` is reported, not a traceback."""
+    from hatd4 import cli
+    from hatd4.meataxe import MeatAxeError
+
+    def too_large(*args, **kwargs):
+        raise MeatAxeError("span enumeration too large (15813251 points)")
+
+    monkeypatch.setattr(cli.homology, "minimal_admissible_covers", too_large)
+    assert main(["covers", *pair42_files, "--max-order", "1500"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: span enumeration too large (15813251 points)\n"
+    assert "covers" not in captured.out
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from hatd4 import census as census_mod
 

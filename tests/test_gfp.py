@@ -335,12 +335,13 @@ def test_minimal_polynomial_annihilates_and_is_minimal(case):
 
 
 @st.composite
-def gf2_companion_sums(draw):
-    """(a, blocks): a matrix of dimension 9-70 over GF(2) similar to the block
+def companion_sums(draw, p):
+    """(a, blocks): a matrix of dimension 9-70 over GF(p) similar to the block
     diagonal sum of the companion matrices of blocks, monic polynomials as
     coefficient lists, low degree first.  Some blocks repeat or are powers
     of x + 1, so the lcm drops or merges factors.  The similarity is a run
-    of transvections I + E_ij, each its own inverse mod 2."""
+    of transvections T = I + c E_ij: T a T^-1 adds c times row j to row i
+    and subtracts c times column i from column j."""
     n = draw(st.integers(9, 70))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     blocks = []
@@ -350,37 +351,56 @@ def gf2_companion_sums(draw):
             f = blocks[rng.integers(len(blocks))]
             f = f if len(f) - 1 <= left else [1, 1]
         elif kind == 1:
-            f = [int(c) % 2 for c in Poly((symbols("x") + 1) ** int(rng.integers(1, 5)),
-                                           modulus=2).all_coeffs()[::-1]]
+            f = [int(c) % p for c in Poly((symbols("x") + 1) ** int(rng.integers(1, 5)),
+                                           modulus=p).all_coeffs()[::-1]]
             f = f if len(f) - 1 <= left else [1, 1]
         else:
-            f = [int(c) for c in rng.integers(0, 2, size=int(rng.integers(1, min(left, 16) + 1)))] + [1]
+            f = [int(c) for c in rng.integers(0, p, size=int(rng.integers(1, min(left, 16) + 1)))] + [1]
         blocks.append(f)
     a = np.zeros((n, n), dtype=np.int64)
     at = 0
     for f in blocks:
         d = len(f) - 1
         a[at + 1 : at + d, at : at + d - 1] += np.eye(d - 1, dtype=np.int64)
-        a[at : at + d, at + d - 1] = f[:d]
+        a[at : at + d, at + d - 1] = [-c % p for c in f[:d]]
         at += d
     for _ in range(3 * n):
         i, j = rng.choice(n, size=2, replace=False)
-        a[i] ^= a[j]
-        a[:, j] ^= a[:, i]
+        c = int(rng.integers(1, p))
+        a[i] = (a[i] + c * a[j]) % p
+        a[:, j] = (a[:, j] - c * a[:, i]) % p
     return a, blocks
 
 
-@given(gf2_companion_sums())
-@settings(max_examples=25, deadline=None)
-def test_gf2_minimal_polynomial_is_lcm_of_companion_blocks(case):
-    a, blocks = case
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_minimal_polynomial_is_lcm_of_companion_blocks(p, data):
+    a, blocks = data.draw(companion_sums(p))
     x = symbols("x")
-    want = Poly(1, x, modulus=2)
+    want = Poly(1, x, modulus=p)
     for f in blocks:
-        want = want.lcm(Poly(f[::-1], x, modulus=2))
-    m = gfp.minimal_polynomial(a, 2)
-    assert [int(c) for c in m] == [int(c) % 2 for c in reversed(want.all_coeffs())]
-    assert_minimal_polynomial(m, a, 2)
+        want = want.lcm(Poly(f[::-1], x, modulus=p))
+    m = gfp.minimal_polynomial(a, p)
+    assert m == [int(c) % p for c in reversed(want.monic().all_coeffs())]
+    assert_minimal_polynomial(m, a, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_minimal_polynomial_of_low_degree_large_matrices(p):
+    """Every Krylov sequence of the identity has local degree 1, and of an
+    involution at most 2: the case the doubling batches are for.  The
+    involution swaps 100 pairs of coordinates, conjugated by a transvection
+    so its rows are not all unit vectors."""
+    n = 200
+    assert gfp.minimal_polynomial(np.eye(n, dtype=np.int64), p) == [p - 1, 1]
+    swap = np.eye(n, dtype=np.int64)[np.arange(n) ^ 1]
+    t = np.eye(n, dtype=np.int64)
+    t[3, 150] = 1
+    t_inv = (2 * np.eye(n, dtype=np.int64) - t) % p
+    inv = t @ swap @ t_inv % p
+    assert gfp.minimal_polynomial(inv, p) == [p - 1, 0, 1]
+    assert_minimal_polynomial([p - 1, 0, 1], inv, p)
 
 
 POLY_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -563,3 +583,14 @@ def test_span_points_streams():
     assert inspect.isgenerator(gen)
     first = next(gen)
     assert first.shape == (1, 16) and first[0, 0] == 1
+
+
+def test_span_points_refuses_more_than_enum_cap_points():
+    """The cap is checked before the first point: 2^21 - 1 lines are too
+    many, 2^20 - 1 are not."""
+    big = meataxe.span_points(np.eye(21, dtype=np.int64)[:, None, :], 2)
+    with pytest.raises(meataxe.MeatAxeError, match="too large"):
+        next(big)
+    assert (2**21 - 1) > meataxe.ENUM_CAP >= 2**20 - 1
+    ok = meataxe.span_points(np.eye(20, dtype=np.int64)[:, None, :], 2)
+    assert next(ok).shape == (1, 20)

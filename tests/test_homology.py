@@ -401,6 +401,16 @@ def test_eigenvalue_candidates_are_roots_of_unity(p):
     assert _eigenvalue_candidates(p, p - 1) == list(range(1, p))
 
 
+@pytest.mark.parametrize("dmax", [1, 2])
+def test_line_enumeration_past_the_cap_raises(dmax):
+    """The identity on GF(251)^4 fixes all (251^4 - 1) / 250, about 15.8 M,
+    lines: both routes refuse them before enumerating any."""
+    mod = HomologyModule(base=None, p=251, dim=4, action=[np.eye(4, dtype=np.int64)],
+                         cotree=None, orders=[1])
+    with pytest.raises(meataxe.MeatAxeError, match="too large"):
+        dual_minimal_submodules(mod, dmax)
+
+
 @pytest.mark.parametrize("p", [3, 13, 17, 43, 97, 251])
 def test_eigenvalue_screen_keeps_every_line(base_pair_42, p):
     """Trying only the lam with lam^k = 1 per generator finds the same dual

@@ -51,6 +51,19 @@ def test_aut_action_compatibility():
         assert np.array_equal(dp[g.inv], g.inv[dp])
 
 
+def test_aut_group_is_cached_per_graph():
+    """A second call returns the first call's action; a disconnected graph
+    raises on every call and caches nothing."""
+    pentagon = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+    g = from_simple_edges(5, pentagon)
+    assert aut_group(g) is aut_group(g)
+    assert aut_group(g) is not aut_group(from_simple_edges(5, pentagon))
+    two = from_simple_edges(4, [(0, 1), (2, 3)])
+    for _ in range(2):
+        with pytest.raises(GraphError, match="connected"):
+            aut_group(two)
+
+
 def test_triangle_profiles():
     tri = from_simple_edges(3, [(0, 1), (1, 2), (0, 2)])
     full = aut_group(tri)
