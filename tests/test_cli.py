@@ -226,3 +226,9 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
                         lambda **kw: [census_mod.VerifyRow("synthetic", "fail", 1, 2)])
     assert main(["verify", "--budget", "small"]) == 2
     assert "FAIL synthetic" in capsys.readouterr().out
+
+
+def test_verify_table2_on_empty_catalog(tmp_path, capsys):
+    assert main(["verify", "--budget", "table2-l1", "--catalog", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL table2 row 1 level 1 (56 covers of the order-42 pair) expected=56 got=0" in out

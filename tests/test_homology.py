@@ -18,6 +18,7 @@ from hatd4.homology import (HomologyModule, _cycle_table, _dual_lines,
                             minimal_admissible_covers, voltages_from_dual)
 from hatd4.perms import PermGroup, is_dihedral_8
 from hatd4.symmetry import GraphAction, aut_group, combine, is_relevant_pair
+from hatd4.universal import coset_graph, epimorphism_search
 
 
 def rotation_action(g, vmap):
@@ -420,6 +421,30 @@ def test_eigenvalue_screen_keeps_every_line(base_pair_42, p):
     got = _dual_lines(mod)
     want = _dual_lines(dataclasses.replace(mod, orders=None))
     assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("group, p, core_dim, lines", [
+    ("pgl_2_7", 3, 1, 1), ("pgl_2_7", 13, 43, 1), ("pgl_2_7", 43, 43, 1),
+    ("pgl_2_7", 127, 43, 1), ("pgl_2_7", 211, 43, 1),
+    ("pgl_2_9", 3, 2, 2), ("m10", 3, 2, 4)])
+def test_dual_lines_match_core_chop(catalog, group, p, core_dim, lines):
+    """The two dual-line routes agree: the eigenvalue branching of
+    `_dual_lines` finds exactly the 1-dimensional results of the dmax = 2
+    route, the small-degree core chopped by the MeatAxe.  From p = 13 on,
+    the core of the order-42 module (over PGL(2,7)) is the whole 43-dim
+    module, which the MeatAxe then chops; at 43, 127 and 211 every
+    generator is diagonalisable.  The 91-dim modules of the two order-90
+    base pairs have 2 and 4 lines at p = 3."""
+    grp = catalog[group]
+    w = epimorphism_search(grp)[0]
+    graph, action = coset_graph(grp, w.stabiliser_group(), w.g)
+    mod = homology_rep(graph, action, p)
+    assert len(_small_degree_core(mod, [a.T.copy() for a in mod.action], 2)) == core_dim
+    got = _dual_lines(mod)
+    want = [b for b in dual_minimal_submodules(mod, 2) if b.shape[0] == 1]
+    assert len(got) == lines
+    assert [(b.dtype, b.shape, b.tobytes()) for b in got] == \
+        [(b.dtype, b.shape, b.tobytes()) for b in want]
 
 
 @pytest.mark.parametrize("p", [3, 5])
