@@ -22,11 +22,14 @@ individualised on the first path are a base of the automorphism group
 fixes them fixes the discrete partition at the first leaf and is the
 identity, with or without an arc set or known generators.
 
-Skeleton maps reach the darts through one dart table per graph and arc
-set: the darts sorted by class (semiedges, or links and loops, of one arc
-flag from one vertex to another), then by edge.  A vertex map lifts by
-sending each class to its image class rank for rank; the same table gives
-the generators and the order of the group of dart maps fixing every vertex.
+One dart table per graph and arc set sorts the darts by class (semiedges,
+or links and loops, of one arc flag from one vertex to another), then by
+edge.  The skeleton is read off its classes: each vertex's semiedges,
+loops, arc loop darts and arc semiedges, the links of each pair of
+vertices and the arcs of each ordered pair.  A vertex map lifts to the
+darts by sending each class to its image class rank for rank; the same
+table gives the generators and the order of the group of dart maps fixing
+every vertex.
 """
 
 from __future__ import annotations
@@ -58,28 +61,21 @@ class _View:
         "adj", "has_arcs",
     )
 
-    def __init__(self, g, colors=None, arcs=None):
-        n = g.n
-        self.n = n
-        darts = np.arange(g.m, dtype=DTYPE)
-        semi_mask = g.inv == darts
-        ends = g.end()
-        loop_mask = (~semi_mask) & (ends == g.beg)
-        link_mask = (~semi_mask) & (~loop_mask)
+    def __init__(self, g, arcs=None):
+        n = self.n = g.n
+        self.has_arcs = arcs is not None
+        # any set of darts is an arc set here, not only one dart of each edge
+        table = dart_table(g) if arcs is None else _DartTable(g, np.asarray(arcs, dtype=bool))
+        u, w, kind, flag, size = table.classes().T
+        semi, loop = kind == 0, (kind == 1) & (u == w)
 
-        semis = np.bincount(g.beg[semi_mask], minlength=n)
-        loops = np.bincount(g.beg[loop_mask], minlength=n) // 2
+        def per_vertex(rows):
+            return np.bincount(u[rows], weights=size[rows], minlength=n).astype(np.int64)
 
-        if arcs is not None:
-            arcs = np.asarray(arcs, dtype=bool)
-            aloops = np.bincount(g.beg[loop_mask & arcs], minlength=n)
-            asemis = np.bincount(g.beg[semi_mask & arcs], minlength=n)
-        else:
-            aloops = np.zeros(n, dtype=np.int64)
-            asemis = np.zeros(n, dtype=np.int64)
-        ucolor = np.zeros(n, dtype=np.int64) if colors is None else np.asarray(colors, dtype=np.int64)
-
-        base = np.stack([ucolor, semis, loops, aloops, asemis], axis=1).astype(np.int64)
+        # the first column is zero for every vertex; it is kept so that
+        # certificates keep their bytes
+        base = np.stack([np.zeros(n, dtype=np.int64), per_vertex(semi), per_vertex(loop) // 2,
+                         per_vertex(loop & (flag == 1)), per_vertex(semi & (flag == 1))], axis=1)
         self.base_tuple = base
         # rank of each distinct base tuple, ascending: initial cell order
         order = np.lexsort(base.T[::-1])
@@ -89,42 +85,31 @@ class _View:
             ranked[order] = np.concatenate([[0], np.cumsum(diff)])
         self.base_rank = ranked
 
-        # undirected link multiplicities, one row per unordered pair
-        lu = g.beg[link_mask].astype(np.int64)
-        lw = ends[link_mask].astype(np.int64)
-        a = np.minimum(lu, lw)
-        b = np.maximum(lu, lw)
-        keys = a * n + b
-        uniq, counts = np.unique(keys, return_counts=True)
-        self.eu = (uniq // n).astype(DTYPE)
-        self.ew = (uniq % n).astype(DTYPE)
-        self.emult = (counts // 2).astype(np.int64)  # both darts counted
+        # undirected link multiplicities, one row per unordered pair: each
+        # link has one dart from u to w, so the classes from u to a larger
+        # w, of either arc flag, hold its edges
+        e = (kind == 1) & (u < w)
+        at = np.unique(u[e] * n + w[e], return_index=True)[1]
+        self.eu = u[e][at].astype(DTYPE)
+        self.ew = w[e][at].astype(DTYPE)
+        self.emult = np.add.reduceat(size[e], at)
 
-        self.has_arcs = arcs is not None
-        if self.has_arcs:
-            am = link_mask & arcs
-            au = g.beg[am].astype(np.int64)
-            aw = ends[am].astype(np.int64)
-            akeys = au * n + aw
-            uniq, counts = np.unique(akeys, return_counts=True)
-            self.au = (uniq // n).astype(DTYPE)
-            self.aw = (uniq % n).astype(DTYPE)
-            self.amult = counts.astype(np.int64)
-        else:
-            self.au = np.zeros(0, dtype=DTYPE)
-            self.aw = np.zeros(0, dtype=DTYPE)
-            self.amult = np.zeros(0, dtype=np.int64)
+        # arc multiplicities, one row per ordered pair
+        a = (kind == 1) & (u != w) & (flag == 1)
+        self.au = u[a].astype(DTYPE)
+        self.aw = w[a].astype(DTYPE)
+        self.amult = size[a]
 
         # adj[x][y]: the edges of x and y, the arcs y -> x and the arcs
         # x -> y as one int in radix big, which exceeds any layer's count;
         # refinement adds it to y's count for a splitter holding x
         big = (int(self.emult.sum()) + int(self.amult.sum())) * 4 + 2
         adj = [{} for _ in range(n)]
-        for u, w, k in zip(self.eu.tolist(), self.ew.tolist(), self.emult.tolist()):
-            adj[u][w] = adj[w][u] = k * big * big
-        for u, w, k in zip(self.au.tolist(), self.aw.tolist(), self.amult.tolist()):
-            adj[u][w] = adj[u].get(w, 0) + k
-            adj[w][u] = adj[w].get(u, 0) + k * big
+        for x, y, k in zip(self.eu.tolist(), self.ew.tolist(), self.emult.tolist()):
+            adj[x][y] = adj[y][x] = k * big * big
+        for x, y, k in zip(self.au.tolist(), self.aw.tolist(), self.amult.tolist()):
+            adj[x][y] = adj[x].get(y, 0) + k
+            adj[y][x] = adj[y].get(x, 0) + k * big
         self.adj = adj
 
 
@@ -449,7 +434,7 @@ def search(view: _View, known_gens=()) -> CanonResult:
 # ---------------------------------------------------------------------------
 
 
-def canonical(g, colors=None, arcs=None, known_gens=()) -> CanonResult:
+def canonical(g, arcs=None, known_gens=()) -> CanonResult:
     """Canonical search result for a graph skeleton (cached on the graph).
 
     known_gens are vertex permutations of a group already known to act on
@@ -463,11 +448,10 @@ def canonical(g, colors=None, arcs=None, known_gens=()) -> CanonResult:
     them, and aut_gens generates the skeleton's automorphism group with or
     without them.
     """
-    key = ("canon", None if colors is None else bytes(np.asarray(colors, np.int64)),
-           None if arcs is None else np.asarray(arcs, bool).tobytes())
+    key = ("canon", None if arcs is None else np.asarray(arcs, bool).tobytes())
     hit = g._cache.get(key)
     if hit is None:
-        hit = search(_View(g, colors=colors, arcs=arcs), known_gens=known_gens)
+        hit = search(_View(g, arcs=arcs), known_gens=known_gens)
         g._cache[key] = hit
     return hit
 
@@ -502,10 +486,11 @@ class _DartTable:
     arcs the two darts of a loop share one class, at ranks 2r and 2r+1.
     """
 
-    __slots__ = ("order", "key", "start", "stop")
+    __slots__ = ("n", "order", "key", "start", "stop")
 
     def __init__(self, g, arcs):
         m = g.m
+        self.n = g.n
         flag = np.zeros(m, dtype=np.uint64) if arcs is None else arcs.astype(np.uint64)
         kind = (g.inv != np.arange(m)).astype(np.uint64)  # 0 semiedge, 1 loop or link
         key = _class_keys(g.n, g.beg, g.end(), kind * 2 + flag)
@@ -518,6 +503,15 @@ class _DartTable:
         cls = np.cumsum(new) - 1
         self.start = first[cls]
         self.stop = np.append(first[1:], m)[cls]
+
+    def classes(self):
+        """One row (beg, end, kind, arc flag, size) per class, in ascending
+        key order; kind is 0 for semiedges and 1 for links and loops."""
+        first = np.flatnonzero(self.start == np.arange(len(self.key)))
+        rest, low = np.divmod(self.key[first], np.uint64(4))
+        beg, end = np.divmod(rest, np.uint64(self.n))
+        size = (self.stop[first] - first).astype(np.uint64)
+        return np.stack([beg, end, low // 2, low % 2, size], axis=1).astype(np.int64)
 
 
 def _class_keys(n, beg, end, low):

@@ -242,13 +242,13 @@ def four_semiedge_vertex():
 
 
 def structural_profile(g: Graph) -> StructuralProfile:
-    semi = len(g.semiedge_darts())
-    pos = g.edges()
-    links = pos[g.inv[pos] != pos]
-    u, w = g.beg[links], g.end()[links]
-    loops = int(np.count_nonzero(u == w))
-    pairs = np.stack([np.minimum(u, w), np.maximum(u, w)])[:, u != w]
-    parallel = int(np.count_nonzero(np.unique(pairs, axis=1, return_counts=True)[1] >= 2))
+    from hatd4.canon import dart_table
+
+    u, w, kind, _, size = dart_table(g).classes().T
+    semi = int(size[kind == 0].sum())
+    loops = int(size[(kind == 1) & (u == w)].sum()) // 2
+    # the class from u to a larger w holds one dart of each of their edges
+    parallel = int(np.count_nonzero((kind == 1) & (u < w) & (size >= 2)))
     simple = semi == 0 and loops == 0 and parallel == 0
     return StructuralProfile(
         connected=g.is_connected(),

@@ -162,7 +162,7 @@ def dual_minimal_submodules(mod: HomologyModule, dmax: int, seed=0):
     core = _small_degree_core(mod, dual, dmax)
     if not len(core):
         return []
-    sub, _ = meataxe.sub_action(core, dual, p)
+    sub = meataxe.sub_action(core, dual, p)
     found = [gfp.rref(gfp.matmul(b, core, p), p)[0]
              for b in meataxe.minimal_submodules(sub, p, dmax, seed=seed)]
     return sorted(found, key=lambda b: (b.shape[0], b.tobytes()))
@@ -234,7 +234,7 @@ def _dual_lines(mod: HomologyModule):
     """
     p = mod.p
     beta = mod.dim
-    orders = getattr(mod, "orders", None) or [p - 1] * len(mod.action)
+    orders = mod.orders or [p - 1] * len(mod.action)
     leaves = [np.eye(beta, dtype=np.int64)]
     for a, k in zip(mod.action, orders):
         lams = _eigenvalue_candidates(p, k)

@@ -127,7 +127,7 @@ def sub_action(basis, gens, p):
         if np.any((y - gfp.matmul(coords, r, p)) % p):
             raise MeatAxeError("subspace is not invariant")
         out.append(coords)
-    return out, r
+    return out
 
 
 def quotient_action(basis, gens, p):
@@ -142,7 +142,7 @@ def quotient_action(basis, gens, p):
         y = m[free, :] % p
         y = (y - gfp.matmul(y[:, pivots], r, p)) % p
         out.append(y[:, free])
-    return out, free
+    return out
 
 
 def chop(gens, p, seed=0):
@@ -159,10 +159,8 @@ def chop(gens, p, seed=0):
         if irr:
             factors.append(cur)
             continue
-        sub, _ = sub_action(wit, cur, p)
-        quo, _ = quotient_action(wit, cur, p)
-        stack.append(quo)
-        stack.append(sub)
+        stack.append(quotient_action(wit, cur, p))
+        stack.append(sub_action(wit, cur, p))
     return factors
 
 

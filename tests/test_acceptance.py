@@ -215,12 +215,9 @@ def test_criterion_7_meataxe_oracle():
                         gens.append(a)
                         break
 
-            class M:
-                pass
+            from hatd4.homology import HomologyModule, maximal_invariant_submodules
 
-            m = M()
-            m.p, m.dim, m.action = p, n, gens
-            from hatd4.homology import maximal_invariant_submodules
+            m = HomologyModule(base=None, p=p, dim=n, action=gens, cotree=None)
 
             for dmax in (1, 2, n):
                 got = maximal_invariant_submodules(m, dmax)

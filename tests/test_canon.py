@@ -353,11 +353,11 @@ def test_structural_profile_matches_edge_loop(g):
 
 
 @st.composite
-def graphs_with_arcs(draw):
+def graphs_with_arcs(draw, **sizes):
     """A random dart graph, and either no arc set or a random set of darts.
     Such a set may hold both darts of an edge or neither, so the arcs in
     and out of a vertex do not follow from its edges and the other layer."""
-    g = draw(dart_graphs())
+    g = draw(dart_graphs(**sizes))
     if not draw(st.booleans()):
         return g, None
     return g, np.array(draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)), dtype=bool)
@@ -396,6 +396,39 @@ def test_refined_root_partition_is_equitable(case):
         for s, e in zip(starts, ends):
             cell = counts[part.lab[s:e]]
             assert np.all(cell == cell[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_arcs(max_n=5, max_edges=14))
+def test_view_rows_match_dart_counts(case):
+    """The skeleton view's rows, counted dart by dart: per vertex the
+    semiedges, loops, arc loop darts and arc semiedges, per unordered pair
+    of distinct vertices the links, per ordered pair the arc links."""
+    g, arcs = case
+    view = canon._View(g, arcs=arcs)
+    base = np.zeros((g.n, 5), dtype=np.int64)
+    links, arc_links = {}, {}
+    for x in range(g.m):
+        u, w, y = int(g.beg[x]), g.end(x), int(g.inv[x])
+        arc = arcs is not None and bool(arcs[x])
+        if x == y:
+            base[u, 1] += 1
+            base[u, 4] += arc
+        elif u == w:
+            base[u, 2] += x < y
+            base[u, 3] += arc
+        else:
+            if x < y:
+                links[min(u, w), max(u, w)] = links.get((min(u, w), max(u, w)), 0) + 1
+            if arc:
+                arc_links[u, w] = arc_links.get((u, w), 0) + 1
+    assert np.array_equal(view.base_tuple, base)
+    ranks = {t: r for r, t in enumerate(sorted(set(map(tuple, base.tolist()))))}
+    assert view.base_rank.tolist() == [ranks[tuple(t)] for t in base.tolist()]
+    for rows, want in (((view.eu, view.ew, view.emult), links),
+                       ((view.au, view.aw, view.amult), arc_links)):
+        assert [r.dtype for r in rows] == [np.int32, np.int32, np.int64]
+        assert list(zip(*(r.tolist() for r in rows))) == [(a, b, k) for (a, b), k in sorted(want.items())]
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,7 @@ def test_maximal_invariant_matches_oracle_small():
                         gens.append(a)
                         break
 
-            class FakeMod:
-                pass
-
-            fm = FakeMod()
-            fm.p, fm.dim, fm.action = p, n, gens
+            fm = HomologyModule(base=None, p=p, dim=n, action=gens, cotree=None)
             for dmax in (1, 2, n):
                 got = maximal_invariant_submodules(fm, dmax)
                 want = meataxe.maximal_invariant_oracle(gens, p, dmax)

@@ -49,6 +49,10 @@ def levels(ch):
     return [(int(lev.base), lev.orbit, lev.via, lev.parent, lev.gens) for lev in ch.levels]
 
 
+def view_rows(v):
+    return v.base_tuple, v.base_rank, v.eu, v.ew, v.emult, v.au, v.aw, v.amult, v.adj
+
+
 # layer, hatd4 module, entry point, key(output, arguments) compared between the
 # trees, and which calls are replayed (None: every call; a method other than
 # __init__ only on an object that has a twin)
@@ -69,8 +73,8 @@ TABLE = [
     ("add", "perms", "StabChain.add", lambda out, a: (out, levels(a[0])), None),
     ("aut_group", "symmetry", "aut_group", lambda out, a: out.group.order(), None),
     ("digraph_aut", "symmetry", "digraph_aut", lambda out, a: (out.order(), out.gens), None),
-    # builds the twin view that the search below replays on
-    ("view", "canon", "_View.__init__", lambda out, a: None, None),
+    # also builds the twin view that the search below replays on
+    ("view", "canon", "_View.__init__", lambda out, a: view_rows(a[0]), None),
     ("search", "canon", "search",
      lambda r, a: (r.cert, r.labeling, r.aut_gens, [int(v) for v in r.base], r.leaves), None),
 ]
@@ -195,8 +199,7 @@ class Replay:
         differ = ", ".join("%s %d%s" % (layer, self.bad[layer], " (%s)" % self.errors[layer]
                                         if layer in self.errors else "")
                            for layer, *_ in TABLE if self.bad[layer])
-        counts = ", ".join("%d %s" % (self.calls[layer], layer)
-                           for layer, *_ in TABLE if layer != "view")
+        counts = ", ".join("%d %s" % (self.calls[layer], layer) for layer, *_ in TABLE)
         print("%s: %s; %s%s" % (name, counts, "DIFFER: " + differ if differ else "0 differ", tail))
         for tally in (self.calls, self.bad, self.errors, self.twins):
             tally.clear()
