@@ -65,7 +65,7 @@ class _View:
         n = self.n = g.n
         self.has_arcs = arcs is not None
         # any set of darts is an arc set here, not only one dart of each edge
-        table = dart_table(g) if arcs is None else _DartTable(g, np.asarray(arcs, dtype=bool))
+        table = _cached_table(g, None if arcs is None else np.asarray(arcs, dtype=bool))
         u, w, kind, flag, size = table.classes().T
         semi, loop = kind == 0, (kind == 1) & (u == w)
 
@@ -528,6 +528,12 @@ def dart_table(g, arcs=None) -> _DartTable:
         arcs = np.asarray(arcs, dtype=bool)
         if np.any(arcs == arcs[g.inv]):
             raise GraphError("arc set must contain exactly one dart of each edge")
+    return _cached_table(g, arcs)
+
+
+def _cached_table(g, arcs):
+    """The dart table of g and a boolean dart set arcs (or None), unchecked;
+    the skeleton view and `dart_table` share this one entry per dart set."""
     key = ("darts", None if arcs is None else arcs.tobytes())
     hit = g._cache.get(key)
     if hit is None:

@@ -125,6 +125,9 @@ def expand_level(pairs, cfg: CensusConfig, level):
 def run_census(cfg: CensusConfig) -> CensusResult:
     if cfg.max_order < 1:
         raise GraphError("max order must be at least 1, got %d" % cfg.max_order)
+    if cfg.max_order > homology.MAX_ORDER:
+        raise GraphError("max order must be at most %d, got %d"
+                         % (homology.MAX_ORDER, cfg.max_order))
     if cfg.max_level < 0:
         raise GraphError("levels must be at least 0, got %d" % cfg.max_level)
     p0, witness_classes = base_pairs(cfg)

@@ -37,9 +37,13 @@ from hatd4 import gfp, meataxe
 from hatd4.covers import (CoverError, VoltageAssignment, derived_cover,
                           fibre_index, spanning_tree_mask, translation_action,
                           tree_potential)
-from hatd4.graphs import Graph, GraphError
+from hatd4.graphs import MAX_ID, Graph, GraphError
 from hatd4.perms import PermGroup, perm_order
 from hatd4.symmetry import GraphAction, combine
+
+# largest order budget: a lifted tetravalent action has 5 * order vertex and
+# dart points, and `fibre_index` gives them int32 ids
+MAX_ORDER = MAX_ID // 5
 
 
 @dataclass
@@ -432,11 +436,13 @@ def cover_budget(n0: int, max_order: int, primes=None, dim_override=None):
     """(p, dmax) pairs with p^d * n0 <= max_order for some d >= 1.
 
     max_order, an explicit prime list and dim_override are checked first:
-    CoverError for max_order below 1, an entry that is not prime or an
-    override below 1.
+    CoverError for max_order below 1 or above MAX_ORDER, an entry that is
+    not prime or an override below 1.
     """
     if max_order < 1:
         raise CoverError("max order must be at least 1, got %d" % max_order)
+    if max_order > MAX_ORDER:
+        raise CoverError("max order must be at most %d, got %d" % (MAX_ORDER, max_order))
     bad = [p for p in primes or () if not gfp.is_prime(p)]
     if bad:
         raise CoverError("%d is not a prime" % bad[0])

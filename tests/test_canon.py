@@ -17,7 +17,7 @@ from hatd4 import canon
 from hatd4 import census as CE
 from hatd4.graphs import Graph, GraphError, certificate, structural_profile
 from hatd4.perms import PermGroup
-from hatd4.symmetry import aut_group
+from hatd4.symmetry import Digraph, aut_group, digraph_aut
 from tests.conftest import (random_arcs, random_simple_connected, relabel_graph,
                             vertex_automorphisms)
 
@@ -226,7 +226,7 @@ def test_seed_that_is_not_an_automorphism_raises():
         canon.canonical(fresh(c5)).cert
 
 
-def test_dart_table_cached_per_graph_and_arcs():
+def test_dart_table_cached_per_graph_and_arcs(monkeypatch):
     g, arcs = circulant(6, [1, 2], 2, 0)
     plain = canon.dart_table(g)
     assert canon.dart_table(g) is plain
@@ -249,6 +249,18 @@ def test_dart_table_cached_per_graph_and_arcs():
         assert np.all((key[loops] == key[g.inv[loops]]) == together)
     with pytest.raises(GraphError, match="one dart"):
         canon.dart_table(g, np.ones(g.m, dtype=bool))
+    # the skeleton view and the dart lifts of `digraph_aut` share one table
+    builds = []
+
+    class Counted(canon._DartTable):
+        def __init__(self, g, arcs):
+            builds.append(g)
+            super().__init__(g, arcs)
+
+    monkeypatch.setattr(canon, "_DartTable", Counted)
+    g, arcs = circulant(5, [1], 0, 0)  # the oriented 5-cycle
+    assert digraph_aut(Digraph(g, arcs)).order() == 5
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------

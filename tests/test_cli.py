@@ -107,18 +107,24 @@ def test_covers_rejects_bad_prime_or_dim(pair42_files, capsys, option):
 
 
 def test_covers_rejects_bad_max_order(pair42_files, capsys):
-    for bound in ("0", "-5"):
+    for bound, limit in (("0", "at least 1"), ("-5", "at least 1"),
+                         ("429496730", "at most 429496729"),
+                         ("1000000000000", "at most 429496729")):
         assert main(["covers", *pair42_files, "--max-order", bound]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: max order must be at least 1, got %s\n" % bound
+        assert captured.err == "error: max order must be %s, got %s\n" % (limit, bound)
         assert "covers" not in captured.out
 
 
 @pytest.mark.parametrize("option, message", [
     (["--max-order", "0"], "max order must be at least 1, got 0"),
     (["--max-order", "-5"], "max order must be at least 1, got -5"),
-    (["--max-order", "42", "--levels", "-2"], "levels must be at least 0, got -2")],
-    ids=["max-order-0", "max-order-negative", "levels-negative"])
+    (["--max-order", "42", "--levels", "-2"], "levels must be at least 0, got -2"),
+    (["--max-order", "429496730"], "max order must be at most 429496729, got 429496730"),
+    (["--max-order", "1000000000000"],
+     "max order must be at most 429496729, got 1000000000000")],
+    ids=["max-order-0", "max-order-negative", "levels-negative", "max-order-above-int32",
+         "max-order-huge"])
 def test_census_rejects_bad_budget(tmp_path, capsys, option, message):
     assert main(["census", *option, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: %s\n" % message

@@ -6,6 +6,7 @@ Run from the repository root:  python tools/make_fixtures.py
 
 from __future__ import annotations
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -20,181 +21,71 @@ from hatd4.perms import PermGroup, from_cycles, write_group_file
 DATA = Path(__file__).resolve().parent.parent / "src" / "hatd4" / "data"
 
 
-# -- projective lines over prime fields --------------------------------------
+# -- finite fields and projective lines --------------------------------------
 
 
-def moebius_gens(q, extra_nonsquare):
-    """Generators of PSL(2,q) (or PGL with the nonsquare scaling) on q+1 points."""
-    inf = q
-    nonsquare = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) == q - 1)
+class Field:
+    """GF(q) on the codes 0..q-1: a prime q, or q = 9 or 25 as a + b t coded
+    a + p b, with t^2 = t + 1 (q = 9) or t^2 = t + 3 (q = 25).  In both of
+    these t, code p, is the least nonsquare and a primitive element."""
 
-    def mk(f):
-        return np.array([f(x) for x in range(q + 1)], dtype=np.int32)
+    def __init__(self, q):
+        self.q = q
+        self.p, self.t2 = {9: (3, (1, 1)), 25: (5, (3, 1))}.get(q, (q, (0, 0)))
 
-    def add1(x):
-        return inf if x == inf else (x + 1) % q
+    def add(self, u, v):
+        p = self.p
+        return (u + v) % p + p * ((u // p + v // p) % p)
 
-    def neginv(x):
-        if x == inf:
-            return 0
-        if x == 0:
-            return inf
-        return (-pow(x, q - 2, q)) % q
+    def neg(self, u):
+        p = self.p
+        return -u % p + p * (-(u // p) % p)
 
-    def mulc(c):
-        return lambda x: inf if x == inf else (c * x) % q
+    def mul(self, u, v):
+        p, (r0, r1) = self.p, self.t2
+        a, b, c, d = u % p, u // p, v % p, v // p
+        return (a * c + r0 * b * d) % p + p * ((a * d + b * c + r1 * b * d) % p)
 
-    gens = [mk(add1), mk(neginv), mk(mulc(nonsquare * nonsquare % q))]
-    if extra_nonsquare:
-        gens.append(mk(mulc(nonsquare)))
-    return gens
-
-
-# -- GF(9) for the degree-10 groups -------------------------------------------
-
-
-def gf9_mul(u, v):
-    a, b = u % 3, u // 3
-    c, d = v % 3, v // 3
-    return (a * c + b * d) % 3 + 3 * ((a * d + b * c + b * d) % 3)  # t^2 = t+1
+    def pow(self, u, k):
+        r = 1
+        for _ in range(k):
+            r = self.mul(r, u)
+        return r
 
 
-def gf9_add(u, v):
-    return (u % 3 + v % 3) % 3 + 3 * ((u // 3 + v // 3) % 3)
+def line_gens(q, *extra):
+    """PSL(2,q) on the projective line 0..q, q being infinity, generated by
+    x + 1, -1/x = -x^(q-2) and c^2 x for c the least nonsquare.  Each name in
+    extra adds one generator: "pgl" is c x, "frob" is x^p, "twist" is c x^p."""
+    F = Field(q)
+    c = next(x for x in range(2, q) if F.pow(x, (q - 1) // 2) != 1)
+    affine = {"pgl": lambda x: F.mul(c, x), "frob": lambda x: F.pow(x, F.p),
+              "twist": lambda x: F.mul(c, F.pow(x, F.p))}
+    maps = [lambda x: F.add(x, 1), lambda x: F.mul(F.mul(c, c), x)]
+    gens = [[f(x) for x in range(q)] + [q] for f in maps + [affine[e] for e in extra]]
+    gens.insert(1, [q] + [F.neg(F.pow(x, q - 2)) for x in range(1, q)] + [0])
+    return [np.array(g, dtype=np.int32) for g in gens]
 
 
-def gf9_pow(u, k):
-    r = 1
-    for _ in range(k):
-        r = gf9_mul(r, u)
-    return r
+def plane_points(F):
+    """The points of the projective plane over F as sorted normalised
+    triples, and the normaliser (first nonzero coordinate 1)."""
+    def norm(v):
+        c = F.pow(next(x for x in v if x), F.q - 2)
+        return tuple(F.mul(c, x) for x in v)
 
-
-def gf9_neg(u):
-    return (-u % 3) % 3 + 3 * ((-(u // 3)) % 3)
-
-
-def degree10_groups():
-    t = 3
-    inf = 9
-
-    def mk(f):
-        return np.array([f(x) for x in range(10)], dtype=np.int32)
-
-    def add1(x):
-        return inf if x == inf else gf9_add(x, 1)
-
-    def neginv(x):
-        if x == inf:
-            return 0
-        if x == 0:
-            return inf
-        return gf9_neg(gf9_pow(x, 7))
-
-    def mulc(c):
-        return lambda x: inf if x == inf else gf9_mul(c, x)
-
-    def frob_mul_t(x):
-        return inf if x == inf else gf9_mul(t, gf9_pow(x, 3))
-
-    psl = [mk(add1), mk(neginv), mk(mulc(gf9_mul(t, t)))]
-    pgl = psl + [mk(mulc(t))]
-    m10 = psl + [mk(frob_mul_t)]
-    return pgl, m10
-
-
-def gf25_mul(u, v):
-    a, b = u % 5, u // 5
-    c, d = v % 5, v // 5
-    return (a * c + 3 * b * d) % 5 + 5 * ((a * d + b * c + b * d) % 5)  # t^2 = t+3
-
-
-def gf25_add(u, v):
-    return (u % 5 + v % 5) % 5 + 5 * ((u // 5 + v // 5) % 5)
-
-
-def gf25_neg(u):
-    return (-u % 5) % 5 + 5 * ((-(u // 5)) % 5)
-
-
-def gf25_pow(u, k):
-    r = 1
-    for _ in range(k):
-        r = gf25_mul(r, u)
-    return r
-
-
-def degree26_groups():
-    """PSL(2,25) and its three order-720*... order-15600 extensions on 26 points."""
-    t = 5
-    inf = 25
-
-    def mk(f):
-        return np.array([f(x) for x in range(26)], dtype=np.int32)
-
-    def add1(x):
-        return inf if x == inf else gf25_add(x, 1)
-
-    def neginv(x):
-        if x == inf:
-            return 0
-        if x == 0:
-            return inf
-        return gf25_neg(gf25_pow(x, 23))
-
-    def mulc(c):
-        return lambda x: inf if x == inf else gf25_mul(c, x)
-
-    def frob(x):
-        return inf if x == inf else gf25_pow(x, 5)
-
-    def frob_mul_t(x):
-        return inf if x == inf else gf25_mul(t, gf25_pow(x, 5))
-
-    psl = [mk(add1), mk(neginv), mk(mulc(gf25_mul(t, t)))]
-    return (psl, psl + [mk(mulc(t))], psl + [mk(frob)], psl + [mk(frob_mul_t)])
+    return sorted({norm(v) for v in itertools.product(range(F.q), repeat=3) if any(v)}), norm
 
 
 def pg2_actions():
     """PSL(3,3) on the 13 points of PG(2,3), and its extension by the
     point-line duality on 13 + 13 points."""
-    import itertools
-
-    from hatd4.gfp import rref
-
-    q = 3
-    pts, seen = [], set()
-    for v in itertools.product(range(q), repeat=3):
-        if v == (0, 0, 0):
-            continue
-        v = np.array(v)
-        nz = np.nonzero(v)[0][0]
-        vn = tuple((v * pow(int(v[nz]), q - 2, q)) % q)
-        if vn not in seen:
-            seen.add(vn)
-            pts.append(vn)
-    pts.sort()
+    pts, norm = plane_points(Field(3))
     pidx = {v: i for i, v in enumerate(pts)}
 
-    def norm(w):
-        nz = np.nonzero(w)[0][0]
-        return tuple((w * pow(int(w[nz]), q - 2, q)) % q)
-
-    def inv3(m):
-        aug = np.concatenate([np.array(m) % q, np.eye(3, dtype=np.int64)], axis=1)
-        return rref(aug.astype(np.int64), q)[0][:, 3:]
-
     def act13(m):
-        return np.array([pidx[norm(np.array(v) @ np.array(m) % q)] for v in pts],
+        return np.array([pidx[norm((np.array(v) @ m % 3).tolist())] for v in pts],
                         dtype=np.int32)
-
-    def act26(m):
-        mi_t = inv3(m).T % q
-        out = np.empty(26, dtype=np.int32)
-        for i, v in enumerate(pts):
-            out[i] = pidx[norm(np.array(v) @ np.array(m) % q)]
-            out[13 + i] = 13 + pidx[norm(np.array(v) @ mi_t % q)]
-        return out
 
     elem = []
     for i in range(3):
@@ -203,62 +94,45 @@ def pg2_actions():
                 m = np.eye(3, dtype=int)
                 m[i, j] = 1
                 elem.append(m)
+    # a transvection m = I + N has N^2 = 0, so its inverse is 2I - m; the
+    # inverse transpose acts on the lines
+    ext = [np.concatenate([act13(m), 13 + act13((2 * np.eye(3, dtype=int) - m).T % 3)])
+           for m in elem]
     tau = np.concatenate([np.arange(13, 26), np.arange(0, 13)]).astype(np.int32)
-    return [act13(m) for m in elem], [act26(m) for m in elem] + [tau]
+    return [act13(m) for m in elem], ext + [tau]
 
 
 def unitary_groups():
     """U3(3) on the 28 isotropic points of the standard Hermitian form over
     GF(9), generated by pseudo-reflections, and its Frobenius extension."""
-    import itertools
-
-    def conj(u):
-        return gf9_pow(u, 3)
-
-    def inv(u):
-        return gf9_pow(u, 7)
+    F = Field(9)
+    pts, norm = plane_points(F)
 
     def hdot(x, y):
         s = 0
         for xi, yi in zip(x, y):
-            s = gf9_add(s, gf9_mul(xi, conj(yi)))
+            s = F.add(s, F.mul(xi, F.pow(yi, 3)))
         return s
 
-    def vnorm(x):
-        nz = next(i for i, xi in enumerate(x) if xi)
-        c = inv(x[nz])
-        return tuple(gf9_mul(c, xi) for xi in x)
-
-    iso, seen = [], set()
-    aniso = []
-    for v in itertools.product(range(9), repeat=3):
-        if v == (0, 0, 0):
-            continue
-        vn = vnorm(v)
-        if vn in seen:
-            continue
-        seen.add(vn)
-        (iso if hdot(v, v) == 0 else aniso).append(vn)
-    iso.sort()
-    aniso.sort()
+    iso = [v for v in pts if hdot(v, v) == 0]
+    aniso = [v for v in pts if hdot(v, v) != 0]
     iidx = {v: i for i, v in enumerate(iso)}
-    norm1 = [z for z in range(1, 9) if gf9_pow(z, 4) == 1]
 
     def perm_of(f):
-        return np.array([iidx[vnorm(f(v))] for v in iso], dtype=np.int32)
+        return np.array([iidx[norm(f(v))] for v in iso], dtype=np.int32)
 
     def reflection(v, zeta):
-        hvi = inv(hdot(v, v))
-        fac = gf9_add(zeta, gf9_neg(1))
+        c = F.mul(F.add(zeta, F.neg(1)), F.pow(hdot(v, v), 7))
 
         def f(x):
-            c = gf9_mul(gf9_mul(fac, hdot(x, v)), hvi)
-            return tuple(gf9_add(xi, gf9_mul(c, vi)) for xi, vi in zip(x, v))
+            k = F.mul(c, hdot(x, v))
+            return tuple(F.add(xi, F.mul(k, vi)) for xi, vi in zip(x, v))
 
         return f
 
-    gens = [perm_of(reflection(v, z)) for v in aniso[:8] for z in norm1[1:]]
-    frob = perm_of(lambda x: tuple(conj(xi) for xi in x))
+    norm1 = [z for z in range(2, 9) if F.pow(z, 4) == 1]
+    gens = [perm_of(reflection(v, z)) for v in aniso[:8] for z in norm1]
+    frob = perm_of(lambda x: tuple(F.pow(xi, 3) for xi in x))
     return gens, gens + [frob]
 
 
@@ -299,42 +173,36 @@ def main():
     DATA.mkdir(parents=True, exist_ok=True)
     (DATA / "catalog").mkdir(exist_ok=True)
 
-    pgl29, m10 = degree10_groups()
-    psl25, pgl25, psigma25, m25 = degree26_groups()
     psl33, psl33_ext = pg2_actions()
     u33, u33_ext = unitary_groups()
-    psl27_gens = moebius_gens(7, False)
-    pgl27_gens = moebius_gens(7, True)
-    psl27_grp = PermGroup(8, psl27_gens)
-    delta = next(g for g in pgl27_gens if not psl27_grp.contains(g))
-    psl27sq, psl27sq_ext, pgl27sq_even = product_groups(psl27_gens, delta)
+    psl27sq, psl27sq_ext, pgl27sq_even = product_groups(line_gens(7), line_gens(7, "pgl")[-1])
     catalog = [
-        ("psl_2_7", 8, 168, psl27_gens),
-        ("pgl_2_7", 8, 336, moebius_gens(7, True)),
+        ("psl_2_7", 8, 168, line_gens(7)),
+        ("pgl_2_7", 8, 336, line_gens(7, "pgl")),
         ("alt_6", 6, 360, [from_cycles(6, [(0, 1, 2)]), from_cycles(6, [(1, 2, 3, 4, 5)])]),
         ("sym_6", 6, 720, [from_cycles(6, [(0, 1)]), from_cycles(6, [(0, 1, 2, 3, 4, 5)])]),
-        ("pgl_2_9", 10, 720, pgl29),
-        ("m10", 10, 720, m10),
-        ("psl_2_17", 18, 2448, moebius_gens(17, False)),
+        ("pgl_2_9", 10, 720, line_gens(9, "pgl")),
+        ("m10", 10, 720, line_gens(9, "twist")),
+        ("psl_2_17", 18, 2448, line_gens(17)),
         ("psl_3_3", 13, 5616, psl33),
         ("u_3_3", 28, 6048, u33),
-        ("psl_2_23", 24, 6072, moebius_gens(23, False)),
-        ("psl_2_25", 26, 7800, psl25),
+        ("psl_2_23", 24, 6072, line_gens(23)),
+        ("psl_2_25", 26, 7800, line_gens(25)),
         ("psl_3_3_ext", 26, 11232, psl33_ext),
         ("u_3_3_ext", 28, 12096, u33_ext),
-        ("pgl_2_23", 24, 12144, moebius_gens(23, True)),
-        ("psl_2_31", 32, 14880, moebius_gens(31, False)),
-        ("pgl_2_25", 26, 15600, pgl25),
-        ("psigma_2_25", 26, 15600, psigma25),
-        ("m_2_25", 26, 15600, m25),
+        ("pgl_2_23", 24, 12144, line_gens(23, "pgl")),
+        ("psl_2_31", 32, 14880, line_gens(31)),
+        ("pgl_2_25", 26, 15600, line_gens(25, "pgl")),
+        ("psigma_2_25", 26, 15600, line_gens(25, "frob")),
+        ("m_2_25", 26, 15600, line_gens(25, "twist")),
         ("alt_8", 8, 20160, [from_cycles(8, [(0, 1, 2)]), from_cycles(8, [(1, 2, 3, 4, 5, 6, 7)])]),
         ("psl_2_7_sq", 16, 28224, psl27sq),
-        ("psl_2_41", 42, 34440, moebius_gens(41, False)),
+        ("psl_2_41", 42, 34440, line_gens(41)),
         ("sym_8", 8, 40320, [from_cycles(8, [(0, 1)]), from_cycles(8, [(0, 1, 2, 3, 4, 5, 6, 7)])]),
-        ("psl_2_47", 48, 51888, moebius_gens(47, False)),
+        ("psl_2_47", 48, 51888, line_gens(47)),
         ("psl_2_7_sq_2", 16, 56448, psl27sq_ext),
         ("pgl_2_7_even_sq", 16, 56448, pgl27sq_even),
-        ("pgl_2_41", 42, 68880, moebius_gens(41, True)),
+        ("pgl_2_41", 42, 68880, line_gens(41, "pgl")),
     ]
     for name, degree, order, gens in catalog:
         grp = PermGroup(degree, gens, name=name)
@@ -342,11 +210,9 @@ def main():
         write_group_file(grp, DATA / "catalog" / ("%s.grp" % name), name=name)
         print("catalog %-13s degree %2d order %6d" % (name, degree, order))
 
-    # extensions must genuinely extend: the added generator leaves the socle
-    pgl = PermGroup(10, pgl29)
-    assert not pgl.contains(m10[-1])
-    assert not PermGroup(26, pgl25).contains(m25[-1])
-    assert not PermGroup(26, pgl25).contains(psigma25[-1])
+    # extensions of one PSL(2,q) are distinct: each added map lies outside PGL(2,q)
+    for q, extra in ((9, "twist"), (25, "frob"), (25, "twist")):
+        assert not PermGroup(q + 1, line_gens(q, "pgl")).contains(line_gens(q, extra)[-1])
 
     holt = G.from_simple_edges(27, holt_edges())
     prof = G.structural_profile(holt)
