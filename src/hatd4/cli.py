@@ -118,12 +118,10 @@ def cmd_census(args):
     out.mkdir(parents=True, exist_ok=True)
     census_mod.emit_csv(res.records, out / "census.csv")
     census_mod.emit_graphs(res.graphs, out / "graphs")
-    with open(out / "summary.txt", "w", encoding="utf-8") as fh:
-        for key in ("witness_classes", "base_pairs", "level_pair_counts",
-                    "pairs", "graphs"):
-            fh.write("%s %s\n" % (key, res.summary[key]))
-    for key in ("witness_classes", "base_pairs", "level_pair_counts", "pairs", "graphs"):
-        print("%s %s" % (key, res.summary[key]))
+    summary = "".join("%s %s\n" % (key, res.summary[key]) for key in (
+        "witness_classes", "base_pairs", "level_pair_counts", "pairs", "graphs"))
+    (out / "summary.txt").write_text(summary, encoding="utf-8")
+    print(summary, end="")
     print("written %s" % (out / "census.csv"))
     return 0
 

@@ -8,10 +8,13 @@ inverse-dart antisymmetry; cover vertices and darts are indexed
 lexicographically by (base index, vector in little-endian base-p order).
 `fibre_index` is the one place that encoding is computed: the derived
 cover, the translations and the lifted automorphisms all map fibres
-through it.  Voltages need not vanish on any tree: `tree_potential`
-integrates dart values along the breadth-first tree that
-`Graph.spanning_tree` builds once per graph and caches, and its residual is
-what connectivity and lifting are decided on.
+through it.  The last two lift whole vertex+dart permutations in one
+call: point n + x of the base (dart x) has fibre ids
+(n + x) p^d + e = n p^d + x p^d + e, the ids of the cover's dart points.
+Voltages need not vanish on any tree: `tree_potential` integrates dart
+values along the breadth-first tree that `Graph.spanning_tree` builds once
+per graph and caches, and its residual is what connectivity and lifting
+are decided on.
 """
 
 from __future__ import annotations
@@ -279,10 +282,9 @@ def translation_action(zeta: VoltageAssignment, cover: Graph) -> GraphAction:
     adds the i-th unit vector in every fibre."""
     g = zeta.base
     p, d = zeta.p, zeta.d
-    gens = [(fibre_index(np.arange(g.n), unit, p, d),
-             fibre_index(np.arange(g.m), unit, p, d))
+    gens = [fibre_index(np.arange(g.n + g.m), unit, p, d)
             for unit in np.eye(d, dtype=np.int64)]
-    return GraphAction.from_vertex_dart(cover, gens, known_order=p**d)
+    return GraphAction(cover, PermGroup(cover.n + cover.m, gens, known_order=p**d))
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +295,7 @@ def translation_action(zeta: VoltageAssignment, cover: Graph) -> GraphAction:
 def read_voltages(path, base: Graph) -> VoltageAssignment:
     p = d = None
     volt = None
-    for lineno, raw in enumerate(read_lines(path, CoverError), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(path, CoverError):
         parts = line.split()
         if p is None:
             if parts[0] != "voltage" or len(parts) != 3:

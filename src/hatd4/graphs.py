@@ -33,13 +33,18 @@ def parse_ints(tokens, path, lineno, error=GraphError):
 
 
 def read_lines(path, error=GraphError):
-    """The lines of a text file; a byte that is not UTF-8 raises `error`
-    naming the path."""
+    """(line number, text) for each line of a text file that has content
+    once its `#` comment is cut and its ends are stripped; a byte that is
+    not UTF-8 raises `error` naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.readlines()
+            lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise error("%s: not UTF-8 text (%s)" % (path, exc.reason)) from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 class Graph:
@@ -336,10 +341,7 @@ def read_graph(path) -> Graph:
     n = m = None
     darts = {}  # dart -> (beg, inv); arrays are built once every line is read
     edges = []
-    for lineno, raw in enumerate(read_lines(path), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(path):
         parts = line.split()
         if mode is None:
             if parts[0] == "graph" and len(parts) == 3:

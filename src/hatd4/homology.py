@@ -19,10 +19,10 @@ to the powers dmax // deg h: the minimal polynomial of A^T on the
 submodule has degree <= e, so it divides P.  So for dmax >= 2 the MeatAxe
 chops only the largest submodule inside all those kernels, often a line,
 not the whole dual module.  Every cover then takes one route:
-`_quotient_matrices` checks invariance and gives the induced d x d
-matrices, `voltages_from_dual` projects the fundamental cycles to
-voltages, and `lift_group` builds the derived cover and lifts the acting
-group by those potentials.
+`_quotient_matrices` reads the induced d x d matrices off
+`meataxe.sub_action` (which also checks invariance), `voltages_from_dual`
+projects the fundamental cycles to voltages, and `lift_group` builds the
+derived cover and lifts the acting group by those potentials.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from hatd4.covers import (CoverError, VoltageAssignment, derived_cover,
                           tree_potential)
 from hatd4.graphs import MAX_ID, Graph, GraphError
 from hatd4.perms import PermGroup, perm_order
-from hatd4.symmetry import GraphAction, combine
+from hatd4.symmetry import GraphAction
 
 # largest order budget: a lifted tetravalent action has 5 * order vertex and
 # dart points, and `fibre_index` gives them int32 ids
@@ -56,13 +56,10 @@ class HomologyModule:
     orders: list | None = None  # permutation order of each generator; A^k = I
 
     def is_invariant(self, basis):
-        b = np.atleast_2d(basis)
-        for a in self.action:
-            y = gfp.matmul(b, a, self.p)
-            for row in y:
-                aug = np.vstack([b, row[None, :]])
-                if gfp.rank(aug, self.p) != b.shape[0]:
-                    return False
+        try:
+            meataxe.sub_action(basis, self.action, self.p)
+        except meataxe.MeatAxeError:
+            return False
         return True
 
 
@@ -342,18 +339,14 @@ class LiftedPair:
 
 def _quotient_matrices(mod: HomologyModule, r):
     """The d x d matrices q with A @ r^T = r^T @ q, one per generator A, for
-    an rref dual basis r; CoverError if the kernel of r is not invariant."""
-    p = mod.p
-    rt = r.T % p
-    _, piv = gfp.rref(r, p)
-    qmats = []
-    for gi, a in enumerate(mod.action):
-        y = gfp.matmul(a, rt, p)
-        q = y[piv, :]
-        if not np.array_equal(gfp.matmul(rt, q, p), y):
-            raise CoverError("voltage kernel not invariant under generator %d" % gi)
-        qmats.append(q)
-    return qmats
+    an rref dual basis r; CoverError if the kernel of r is not invariant.
+
+    A r^T = r^T q exactly when r A^T = q^T r, so q^T is `meataxe.sub_action`
+    of the transposed generators on the row space of r."""
+    try:
+        return [q.T for q in meataxe.sub_action(r, [a.T for a in mod.action], mod.p)]
+    except meataxe.MeatAxeError as exc:
+        raise CoverError("voltage kernel %s" % exc) from None
 
 
 def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
@@ -375,18 +368,15 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
     gens = []
     stab_lifts = []
     for gi, perm in enumerate(action.group.gens):
-        vp = perm[: g.n]
-        dp = perm[g.n :] - g.n
         qmat = qmats[gi]
         # delta(x) = zeta(x^g) - zeta(x) Q  must be a tree potential difference
-        delta = (zeta.volt[dp] - gfp.matmul(zeta.volt, qmat, p)) % p
+        delta = (zeta.volt[perm[g.n :] - g.n] - gfp.matmul(zeta.volt, qmat, p)) % p
         s, res = tree_potential(g, delta, p)
         if np.any(res):
             raise CoverError("generator %d does not lift (non-admissible voltage)" % gi)
-        lift_v = fibre_index(vp, s, p, d, qmat)
-        lift_d = fibre_index(dp, s[g.beg], p, d, qmat)
-        gens.append(combine(cover, lift_v, lift_d))
-        if vp[0] == 0:
+        # dart x is point n + x on both sides: (n + x) p^d + e = n p^d + x p^d + e
+        gens.append(fibre_index(perm, np.concatenate([s, s[g.beg]]), p, d, qmat))
+        if perm[0] == 0:
             stab_lifts.append(gens[-1])
     trans = translation_action(zeta, cover)
     gens.extend(trans.group.gens)

@@ -121,11 +121,11 @@ def sub_action(basis, gens, p):
     b = np.atleast_2d(basis)
     r, pivots = gfp.rref(b, p)
     out = []
-    for m in gens:
+    for gi, m in enumerate(gens):
         y = gfp.matmul(r, m, p)
         coords = y[:, pivots]
         if np.any((y - gfp.matmul(coords, r, p)) % p):
-            raise MeatAxeError("subspace is not invariant")
+            raise MeatAxeError("not invariant under generator %d" % gi)
         out.append(coords)
     return out
 

@@ -670,10 +670,7 @@ def read_group_file(path) -> PermGroup:
     degree = None
     order = None
     gens = []
-    for lineno, raw in enumerate(read_lines(path, GroupError), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(path, GroupError):
         head, _, rest = line.partition(" ")
         if head == "group":
             name = rest.strip()

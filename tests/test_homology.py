@@ -234,6 +234,24 @@ def test_quotient_matrices_reject_non_invariant(base_pair_42):
             assert np.array_equal(gfp.matmul(a, r.T, p), gfp.matmul(r.T, q, p))
 
 
+@pytest.mark.parametrize("p, action", [
+    (3, [[[1, 0, 0], [0, 0, 1], [0, 1, 0]]]),
+    (2, [[[1, 0, 0], [0, 0, 1], [0, 1, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]]]),
+    (2, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]]),
+])
+def test_is_invariant_matches_oracle(p, action):
+    """is_invariant accepts every subspace the brute-force oracle lists, also
+    spanned by a basis with a row doubled, and rejects every other one."""
+    action = [np.array(a, dtype=np.int64) for a in action]
+    mod = HomologyModule(base=None, p=p, dim=3, action=action, cotree=None)
+    invariant = {b.tobytes() for b in meataxe.invariant_subspaces_oracle(action, p)}
+    for b in meataxe.all_subspaces(3, p):
+        want = b.tobytes() in invariant
+        assert mod.is_invariant(b) == want
+        if b.shape[0]:
+            assert mod.is_invariant(np.vstack([b, b[:1]])) == want
+
+
 @pytest.mark.parametrize("p", [2, 5])
 def test_voltages_from_dual_match_cotree_loop(base_pair_42, p):
     """Cotree dart j carries column j of r, its inverse the negation, every
@@ -572,16 +590,24 @@ def test_both_routes_refuse_semiedges_and_disconnection():
 @pytest.mark.parametrize("p", [3, 5])
 def test_lift_potentials_match_vertex_loop(base_pair_42, p):
     """lift_group's generators are the lifts by the potentials that the
-    vertex-by-vertex loop solves, then the translations."""
+    vertex-by-vertex loop solves, then the translations.  The reference
+    takes q from the pivot rows of A r^T and lifts the vertex and the dart
+    half of each permutation apart, so it shares neither the restriction
+    nor the whole-permutation lift with the code it checks."""
     graph, action = base_pair_42
     parent, order = tree_order(graph)
     mod = homology_rep(graph, action, p)
     lifted = minimal_admissible_covers(graph, action, 42 * p, primes=[p])
     assert [(lp.p, lp.d) for lp in lifted] == [(p, 1)]
+    n, m = graph.n, graph.m
     for lp in lifted:
-        volt = lp.zeta.volt
+        volt, r = lp.zeta.volt, lp.dual_basis
+        pivots = np.argmax(r != 0, axis=1)  # r is in rref
         gens = []
-        for perm, q in zip(action.group.gens, _quotient_matrices(mod, lp.dual_basis)):
+        for perm, a in zip(action.group.gens, mod.action):
+            ar = a @ r.T % p
+            q = ar[pivots]
+            assert np.array_equal(r.T @ q % p, ar)
             dp = perm[graph.n :] - graph.n
             delta = (volt[dp] - volt @ q) % p
             s = np.zeros((graph.n, lp.d), dtype=np.int64)
@@ -591,7 +617,9 @@ def test_lift_potentials_match_vertex_loop(base_pair_42, p):
             s = (s - s[0]) % p
             gens.append(combine(lp.cover, fibre_index(perm[: graph.n], s, p, lp.d, q),
                                 fibre_index(dp, s[graph.beg], p, lp.d, q)))
-        gens.extend(lp.translations.group.gens)
+        gens.extend(combine(lp.cover, fibre_index(np.arange(n), unit, p, lp.d),
+                            fibre_index(np.arange(m), unit, p, lp.d))
+                    for unit in np.eye(lp.d, dtype=np.int64))
         want = PermGroup(lp.cover.n + lp.cover.m, gens).gens
         got = lp.action.group.gens
         assert len(got) == len(want)
