@@ -241,8 +241,12 @@ def fibre_index(ids, shifts, p, d, qmat=None):
         vecs = vecs @ qmat % p
     ids = np.asarray(ids, dtype=np.int64)
     shifts = np.broadcast_to(shifts, (len(ids), d))
-    enc = (vecs[None, :, :] + shifts[:, None, :]) % p @ powers
-    return (ids[:, None] * p**d + enc).reshape(-1).astype(DTYPE)
+    # one digit at a time: a matmul with powers would run numpy's slow
+    # integer product on an (ids, p^d, d) stack
+    enc = np.repeat(ids[:, None] * p**d, p**d, axis=1)
+    for j in range(d):
+        enc += (vecs[None, :, j] + shifts[:, j, None]) % p * powers[j]
+    return enc.reshape(-1).astype(DTYPE)
 
 
 def derived_cover(zeta: VoltageAssignment):

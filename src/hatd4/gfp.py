@@ -6,15 +6,18 @@ double (n*(p-1)^2 < 2**53, which holds for every size this package touches).
 At p = 2, `rref` holds each row as one Python int, bit c being column c,
 and eliminates by XOR: the MeatAxe's blocks are small (tens of rows and
 columns), where a per-column numpy step costs far more than the few int
-operations it replaces.  `minimal_polynomial` reads each Krylov sequence's
-local minimal polynomial off one `rref` of its iterates, so it has one
-loop for every prime and takes the XOR path at p = 2.  GF(2) also gets a
-bit-packed uint64 row layout (`gf2_pack`, the same bits as the int rows)
-for the fixed-space eliminations behind degree-2 covers, where a dense
-int64 matrix would be wasteful.  Those matrices are tall and sparse (a few
-bits per row), so the packed elimination picks the lightest row as each
-pivot and works a word at a time on the rows that touch it, which keeps
-the fill-in low.
+operations it replaces.  At odd p, `rref` is a numpy loop over pivot
+columns that updates only the rows with a nonzero coefficient in the pivot
+column: the eigenvalue matrices A - lambda I of graph automorphisms are a
+few percent nonzero, so most rows are left alone at each pivot.
+`minimal_polynomial` reads each Krylov sequence's local minimal polynomial
+off one `rref` of its iterates, so it has one loop for every prime and
+takes the XOR path at p = 2.  GF(2) also gets a bit-packed uint64 row
+layout (`gf2_pack`, the same bits as the int rows) for the fixed-space
+eliminations behind degree-2 covers, where a dense int64 matrix would be
+wasteful.  Those matrices are tall and sparse (a few bits per row), so
+the packed elimination picks the lightest row as each pivot and works a
+word at a time on the rows that touch it, which keeps the fill-in low.
 `EchelonBasis` grows a row space a block of rows at a time (one product to
 reduce the block, one elimination of the residual), which is how the
 MeatAxe spins and the Krylov sequences feed it.  Polynomials are plain
@@ -87,10 +90,12 @@ def rref(a, p):
     Returns (R, pivots) where R has unit pivots with zeros above and below,
     and pivots is the list of pivot column indices (len = rank).
 
-    Entries are reduced mod p lazily: the searched column and the pivot row
-    are reduced on each step, while every other entry drifts by less than
-    (p-1)^2 per pivot.  Only when rank * (p-1)^2 could leave int64 is the
-    whole update reduced on every step.  At p = 2 the rows are Python ints
+    At odd p each pivot updates only the rows with a nonzero coefficient
+    in its column; the others would change by 0.  Entries are reduced mod p
+    lazily: the searched column and the pivot row are reduced on each step,
+    while every other entry drifts by less than (p-1)^2 per pivot that
+    updates its row.  Only when rank * (p-1)^2 could leave int64 are the
+    updated rows reduced on every step.  At p = 2 the rows are Python ints
     instead (`_rref_gf2`).
     """
     if p == 2:
@@ -120,9 +125,11 @@ def rref(a, p):
             lead = (lead * inv_mod(coeff[row], p)) % p
         r[row, col:] = lead
         coeff[row] = 0
-        r[:, col:] -= coeff[:, None] * lead
+        # a row with a zero coefficient would change by 0 * lead: skip it
+        hit = np.flatnonzero(coeff)
+        r[hit, col:] -= coeff[hit, None] * lead
         if eager:
-            r[:, col:] %= p
+            r[hit, col:] %= p
         pivots.append(col)
         row += 1
     return r[: len(pivots)] % p, pivots

@@ -333,6 +333,31 @@ def test_fibre_index_matches_dart_loop(p, d, mixed):
                               np.tile(np.arange(p**d), (7, 1)))
 
 
+def _fibre_matmul(ids, shifts, p, d, qmat=None):
+    """The earlier fibre_index: every digit at once, one integer matmul of
+    the (ids, p^d, d) stack of shifted vectors with the place values."""
+    vecs, powers = base_p_digits(p, d)
+    if qmat is not None:
+        vecs = vecs @ qmat % p
+    ids = np.asarray(ids, dtype=np.int64)
+    shifts = np.broadcast_to(shifts, (len(ids), d))
+    enc = (vecs[None, :, :] + shifts[:, None, :]) % p @ powers
+    return (ids[:, None] * p**d + enc).reshape(-1).astype(np.int32)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_fibre_index_matches_matmul(p, d):
+    rng = np.random.default_rng(100 * p + d)
+    ids = rng.integers(0, 50, size=11)
+    qmat = rng.integers(0, p, size=(d, d))   # need not be invertible
+    for shifts in (0, rng.integers(0, p, size=d), rng.integers(0, p, size=(11, d))):
+        for q in (None, qmat):
+            got = fibre_index(ids, shifts, p, d, q)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, _fibre_matmul(ids, shifts, p, d, q))
+
+
 def test_voltage_file_roundtrip(tmp_path):
     g = cycle(5)
     mask = spanning_tree_mask(g)

@@ -21,6 +21,7 @@ from sympy import GF, Poly, factor_list, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from hatd4 import gfp, meataxe
+from hatd4.homology import _eigenvalue_candidates, homology_rep
 
 PRIMES = (2, 3, 5, 7)
 
@@ -84,7 +85,10 @@ def assert_poly(f, p):
 @given(matrices())
 @settings(max_examples=150, deadline=None)
 def test_rref_matches_sympy(case):
-    p, a = case
+    assert_rref_matches_sympy(*case)
+
+
+def assert_rref_matches_sympy(p, a):
     r, pivots = gfp.rref(a, p)
     want_r, want_pivots = sympy_rref(a, p)
     assert pivots == want_pivots
@@ -92,21 +96,24 @@ def test_rref_matches_sympy(case):
 
 
 def test_rref_large_prime_matches_sympy():
-    """A prime whose square leaves the lazy-reduction range of int64."""
+    """A prime whose square leaves the lazy-reduction range of int64, so
+    every pivot reduces the rows it updates at once: all of them on a dense
+    matrix, a few on a sparse one."""
     p = 2**31 - 1
     rng = np.random.default_rng(7)
     a = rng.integers(0, p, size=(10, 12))
     a[3] = (2 * a[0] + 5 * a[1]) % p
-    r, pivots = gfp.rref(a, p)
-    want_r, want_pivots = sympy_rref(a, p)
-    assert pivots == want_pivots
-    assert np.array_equal(r, want_r)
+    assert_matches_sympy(p, a)
+    assert_matches_sympy(p, sparse_matrix(np.random.default_rng(11), 80, 70, p, dependent=15))
 
 
 @given(matrices())
 @settings(max_examples=150, deadline=None)
 def test_nullspace_matches_sympy(case):
-    p, a = case
+    assert_nullspace_matches_sympy(*case)
+
+
+def assert_nullspace_matches_sympy(p, a):
     got = gfp.nullspace(a, p)
     k = GF(p)
     null = DomainMatrix([[k(int(x)) for x in row] for row in a], a.shape, k).nullspace()
@@ -115,7 +122,47 @@ def test_nullspace_matches_sympy(case):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     if len(got):
-        assert not np.any(gfp.matmul(a, got.T, p))
+        # in Python ints: an int64 product of entries near 2^31 overflows
+        assert not np.any(a.astype(object) @ got.T.astype(object) % p)
+
+
+def assert_matches_sympy(p, a):
+    """`rref` and `nullspace` of a equal sympy's over GF(p)."""
+    assert_rref_matches_sympy(p, a)
+    assert_nullspace_matches_sympy(p, a)
+
+
+def sparse_matrix(rng, m, n, p, dependent):
+    """m x n over GF(p), rows in random order: m - dependent rows with three
+    nonzeros, and `dependent` combinations of two of them."""
+    a = np.zeros((m, n), dtype=np.int64)
+    for i in range(m - dependent):
+        a[i, rng.choice(n, size=3, replace=False)] = rng.integers(1, p, size=3)
+    for i in range(m - dependent, m):
+        j, k = rng.choice(m - dependent, size=2, replace=False)
+        a[i] = (int(rng.integers(1, p)) * a[j] + int(rng.integers(1, p)) * a[k]) % p
+    return a[rng.permutation(m)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m, n", [(60, 60), (150, 150), (180, 90), (120, 60)])
+def test_sparse_rref_and_nullspace_match_sympy(p, m, n):
+    """Sparse matrices like the eigenvalue matrices of homology: at each pivot
+    most rows have a zero coefficient, and `rref` skips them."""
+    rng = np.random.default_rng(1000 * p + m + n)
+    assert_matches_sympy(p, sparse_matrix(rng, m, n, p, dependent=m // 6))
+
+
+def test_homology_eigenvalue_matrices_match_sympy(base_pair_42):
+    """(A - lam I) for every generator A of the order-42 pair's homology
+    module at p = 13 (43 dimensions) and each eigenvalue candidate lam of A,
+    the matrices `_dual_lines` reduces."""
+    p = 13
+    mod = homology_rep(*base_pair_42, p)
+    assert mod.dim == 43
+    for a, k in zip(mod.action, mod.orders):
+        for lam in _eigenvalue_candidates(p, k):
+            assert_matches_sympy(p, (a - lam * np.eye(mod.dim, dtype=np.int64)) % p)
 
 
 @st.composite

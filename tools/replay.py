@@ -57,8 +57,7 @@ def view_rows(v):
 # trees, and which calls are replayed (None: every call; a method other than
 # __init__ only on an object that has a twin)
 TABLE = [
-    ("rref p=2", "gfp", "rref", lambda out, a: ([int(c) for c in out[1]], out[0]),
-     lambda a, p: p == 2),
+    ("rref", "gfp", "rref", lambda out, a: ([int(c) for c in out[1]], out[0]), None),
     ("minimal_polynomial", "gfp", "minimal_polynomial", lambda out, a: coeffs(out), None),
     ("factor_poly", "gfp", "factor_poly", lambda out, a: [(coeffs(g), m) for g, m in out], None),
     ("homology_rep", "homology", "homology_rep",
