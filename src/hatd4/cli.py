@@ -15,8 +15,9 @@ from hatd4 import homology, symmetry
 from hatd4.covers import CoverError, check_lemma_nq, quotient
 from hatd4.graphs import GraphError, read_graph, structural_profile, write_graph
 from hatd4.meataxe import MeatAxeError
-from hatd4.perms import GroupError, read_group_file
+from hatd4.perms import GroupError, cycle_string, read_group_file
 from hatd4.symmetry import GraphAction, aut_group, transitivity_profile
+from hatd4.universal import epimorphism_search
 
 
 def _load_action(graph, group_path):
@@ -56,8 +57,6 @@ def cmd_autgroup(args):
     stab = act.group.point_stabiliser(0)
     print("vertex_stabiliser_order %d" % stab.order())
     if args.gens:
-        from hatd4.perms import cycle_string
-
         for p in act.group.gens:
             print("gen %s" % cycle_string(p))
     return 0
@@ -102,8 +101,6 @@ def cmd_covers(args):
 
 def cmd_episearch(args):
     grp = read_group_file(args.group)
-    from hatd4.universal import epimorphism_search
-
     for w in epimorphism_search(grp):
         print(w.record_line())
     return 0

@@ -158,12 +158,7 @@ def quotient_group_action(big: GraphAction, normal: GraphAction, proj: Projectio
         if np.any(out < 0) or not np.array_equal(out[t], t[ggen]):
             raise CoverError("group action does not descend to the quotient")
         induced.append(out)
-    want = big.group.order() // normal.group.order()
-    grp = PermGroup(quot.n + quot.m, induced, known_order=want)
-    if grp.order() != want:
-        raise CoverError("quotient action is not faithful: %d != %d"
-                         % (grp.order(), want))
-    return GraphAction(quot, grp)
+    return GraphAction.generated(quot, induced, big.group.order() // normal.group.order())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Dense linear algebra and univariate polynomials over prime fields GF(p).
 
-Matrices are numpy int64 arrays with entries reduced mod p.  Products route
-through float64 BLAS whenever the accumulated dot products fit exactly in a
-double (n*(p-1)^2 < 2**53, which holds for every size this package touches).
+Matrices are numpy int64 arrays with entries reduced mod p.  Products go
+through `matmul`, which takes float64 BLAS whenever the accumulated dot
+products fit exactly in a double (n*(p-1)^2 < 2**53, which holds for every
+size the census touches) and exact int64 limbs otherwise.
 At p = 2, `rref` holds each row as one Python int, bit c being column c,
 and eliminates by XOR: the MeatAxe's blocks are small (tens of rows and
 columns), where a per-column numpy step costs far more than the few int
@@ -69,14 +70,26 @@ def identity(n, p):
 
 
 def matmul(a, b, p):
-    """Exact matrix product mod p."""
+    """Exact product mod p of arrays with entries in 0..p-1.
+
+    Through float64 while n (p-1)^2 < 2^53, n the inner dimension; otherwise
+    in int64 with b cut into k-bit limbs, taken highest first, where k is
+    the largest width with (n + 1) p 2^k <= 2^63: each step out 2^k + a @ limb
+    then stays below 2^63.  ValueError when no width fits.
+    """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     inner = a.shape[-1]
     if inner * (p - 1) * (p - 1) < _FLOAT_EXACT:
         c = np.dot(a.astype(np.float64), b.astype(np.float64))
         return np.rint(c).astype(np.int64) % p
-    return np.dot(a, b) % p
+    k = (2**63 // ((inner + 1) * p)).bit_length() - 1
+    if k < 1:
+        raise ValueError("no exact int64 product for inner dimension %d at p = %d" % (inner, p))
+    out = 0
+    for shift in range(((p - 1).bit_length() - 1) // k * k, -1, -k):
+        out = ((out << k) + np.dot(a, (b >> shift) & ((1 << k) - 1))) % p
+    return out
 
 
 def inv_mod(x, p):
@@ -236,7 +249,7 @@ class EchelonBasis:
         if self.dim:
             coeff = v[self._pivots[: self.dim]]
             if np.any(coeff):
-                v = (v - coeff @ self._rows[: self.dim]) % self.p
+                v = (v - matmul(coeff, self._rows[: self.dim], self.p)) % self.p
         return v
 
     def extend(self, block):
@@ -575,7 +588,7 @@ def minimal_polynomial(a, p):
         while True:
             top = min(2 * t, n + 1)
             for i in range(t, top):
-                krylov[i] = (krylov[i - 1] @ a) % p
+                krylov[i] = matmul(krylov[i - 1], a, p)
             t = top
             r, pivots = rref(krylov[:t].T, p)
             if len(pivots) < t:

@@ -97,13 +97,10 @@ class Graph:
 
     def darts_by_vertex(self):
         """CSR-style (indptr, darts sorted by initial vertex)."""
-        key = "csr"
-        if key not in self._cache:
-            order = np.argsort(self.beg, kind="stable")
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.beg, minlength=self.n), out=indptr[1:])
-            self._cache[key] = (indptr, order.astype(DTYPE))
-        return self._cache[key]
+        order = np.argsort(self.beg, kind="stable")
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.beg, minlength=self.n), out=indptr[1:])
+        return indptr, order.astype(DTYPE)
 
     def edges(self):
         """Positive dart of each edge (min of the inv-orbit), ascending."""

@@ -38,7 +38,7 @@ from hatd4.covers import (CoverError, VoltageAssignment, derived_cover,
                           fibre_index, spanning_tree_mask, translation_action,
                           tree_potential)
 from hatd4.graphs import MAX_ID, Graph, GraphError
-from hatd4.perms import PermGroup, perm_order
+from hatd4.perms import perm_order
 from hatd4.symmetry import GraphAction
 
 # largest order budget: a lifted tetravalent action has 5 * order vertex and
@@ -380,12 +380,7 @@ def lift_group(g: Graph, action: GraphAction, zeta: VoltageAssignment,
             stab_lifts.append(gens[-1])
     trans = translation_action(zeta, cover)
     gens.extend(trans.group.gens)
-    want = p**d * action.group.order()
-    big = PermGroup(cover.n + cover.m, gens, known_order=want)
-    lifted_action = GraphAction(cover, big)
-    if big.order() != want:
-        raise CoverError("lifted group has order %d, expected %d"
-                         % (big.order(), want))
+    lifted_action = GraphAction.generated(cover, gens, p**d * action.group.order())
     return LiftedPair(cover=cover, action=lifted_action, zeta=zeta,
                       dual_basis=dual_basis, translations=trans,
                       stabiliser_gens=stab_lifts, base=g, projection=proj)
@@ -441,9 +436,15 @@ def cover_budget(n0: int, max_order: int, primes=None, dim_override=None):
     ratio = max_order // n0
     if ratio < 2:
         return []
-    plist = primes if primes is not None else filter(gfp.is_prime, range(ratio + 1))
+    if primes is None:
+        sieve = np.ones(ratio + 1, dtype=bool)
+        sieve[:2] = False
+        for q in range(2, math.isqrt(ratio) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = False
+        primes = np.flatnonzero(sieve).tolist()
     out = []
-    for p in plist:
+    for p in primes:
         if p > ratio:
             continue
         dmax = 0

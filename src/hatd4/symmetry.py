@@ -37,27 +37,41 @@ class GraphAction:
                 "action degree %d does not match graph (%d vertices + %d darts)"
                 % (group.degree, graph.n, graph.m)
             )
+        self.graph = graph
         for g in group.gens:
-            vp, dp = self._split_static(graph, g)
+            vp, dp = self.split(g)
             if not np.array_equal(vp[graph.beg], graph.beg[dp]):
                 raise GraphError("generator does not commute with beg")
             if not np.array_equal(dp[graph.inv], graph.inv[dp]):
                 raise GraphError("generator does not commute with inv")
-        self.graph = graph
         self.group = group
-
-    @staticmethod
-    def _split_static(graph, perm):
-        return perm[: graph.n], perm[graph.n :] - graph.n
 
     def split(self, perm):
         """(vertex part, dart part) of a combined permutation."""
-        return self._split_static(self.graph, perm)
+        n = self.graph.n
+        return perm[:n], perm[n:] - n
 
     @classmethod
-    def from_vertex_dart(cls, graph, pairs, known_order=None):
+    def from_vertex_dart(cls, graph, pairs):
         gens = [combine(graph, vp, dp) for vp, dp in pairs]
-        return cls(graph, PermGroup(graph.n + graph.m, gens, known_order=known_order))
+        return cls(graph, PermGroup(graph.n + graph.m, gens))
+
+    @classmethod
+    def generated(cls, graph, gens, order):
+        """The group gens generate acting on graph, its chain built at once.
+
+        order is an upper bound on that order which the construction
+        guarantees (lifts plus translations lie in a group of order p^d |G|;
+        right multiplication is an image of G; an action on a quotient by N
+        factors through G/N; lifted automorphisms number at most
+        |Aut(skeleton)| x |local|), so the chain, which stops on reaching
+        order, proves equality there.  GraphError when it stops below.
+        """
+        action = cls(graph, PermGroup(graph.n + graph.m, gens, known_order=order))
+        if action.group.order() != order:
+            raise GraphError("generated group has order %d, not %d"
+                             % (action.group.order(), order))
+        return action
 
 
 def combine(graph, vperm, dperm):
@@ -117,22 +131,17 @@ def _lifted_action(g: Graph, arcs=None) -> GraphAction:
     group's, from a chain on the search's base, times the local group's.
     GraphError if the lifted group's chain does not reach it."""
     res = canon.canonical(g, arcs=arcs)
-    vmaps = res.aut_gens
-    pairs = []
-    for vmap in vmaps:
+    gens = []
+    for vmap in res.aut_gens:
         dmap = canon.extend_vertex_map_to_darts(g, g, vmap, arcs)
         if dmap is None:
             raise AssertionError("skeleton automorphism failed to lift to darts")
-        pairs.append((vmap, dmap))
+        gens.append(combine(g, vmap, dmap))
     local, local_order = canon.local_dart_gens(g, arcs)
     ident = np.arange(g.n, dtype=DTYPE)
-    pairs += [(ident, dmap) for dmap in local]
-    order = StabChain(g.n, vmaps, base=res.base).order() * local_order
-    action = GraphAction.from_vertex_dart(g, pairs, known_order=order)
-    if action.group.order() != order:
-        raise GraphError("lifted automorphism group has order %d, not %d"
-                         % (action.group.order(), order))
-    return action
+    gens += [combine(g, ident, dmap) for dmap in local]
+    order = StabChain(g.n, res.aut_gens, base=res.base).order() * local_order
+    return GraphAction.generated(g, gens, order)
 
 
 def transitivity_profile(g: Graph, action: GraphAction) -> TransitivityProfile:

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hatd4.graphs import DTYPE, Graph, GraphError
+from hatd4 import canon
+from hatd4.graphs import DTYPE, Graph, GraphError, certificate
 from hatd4.perms import PermGroup, identity_perm, inverse, orbit_labels
-from hatd4.symmetry import GraphAction
+from hatd4.symmetry import GraphAction, aut_group
 
 
 class SearchError(GraphError):
@@ -58,7 +59,7 @@ class EpiWitness:
         return sub.order() == self.group.order()
 
     def stabiliser_group(self):
-        return PermGroup(self.group.degree, [self.a, self.b, self.c], known_order=8)
+        return PermGroup(self.group.degree, [self.a, self.b, self.c])
 
     def coset_order(self):
         return self.group.order() // 8
@@ -189,11 +190,7 @@ def coset_graph(group: PermGroup, stab: PermGroup, g):
         perm[n + did0[d0reps]] = n + did0[rk[d0reps]]
         perm[n + 2 * n + did1[d1reps]] = n + 2 * n + did1[rk[d1reps]]
         action_gens.append(perm)
-    pg = PermGroup(n + 4 * n, action_gens, known_order=group.order())
-    if pg.order() != group.order():
-        raise SearchError("coset action is unfaithful (order %d)" % pg.order())
-    action = GraphAction(graph, pg)
-    return graph, action
+    return graph, GraphAction.generated(graph, action_gens, group.order())
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +212,6 @@ class RelevantPair:
 
     def certificate(self):
         """Graph certificate; the group's vertex permutations seed the search."""
-        from hatd4.graphs import certificate
-
         n = self.graph.n
         return certificate(self.graph,
                            known_gens=[h[:n] for h in self.action.group.gens]).data
@@ -236,9 +231,6 @@ def pair_isomorphic(p1: RelevantPair, p2: RelevantPair) -> bool:
     """True iff some graph isomorphism conjugates one acting group onto the
     other (isomorphism of pairs).  Cost grows with the index of the group in
     the full automorphism group; base pairs keep that index small."""
-    from hatd4 import canon
-    from hatd4.symmetry import aut_group
-
     if p1.graph.n != p2.graph.n:
         return False
     if p1.group_order() != p2.group_order():

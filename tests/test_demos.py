@@ -1,4 +1,4 @@
-"""Demos 01-06 run end to end as their own processes and exit 0."""
+"""All eight demos run end to end as their own processes and exit 0."""
 
 import os
 import subprocess
@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("0[1-6]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-8]_*.py"))
 
 
 def test_demo_set():
-    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05", "06"]
+    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05", "06", "07", "08"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)

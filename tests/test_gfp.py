@@ -68,11 +68,12 @@ def reference_spin(vectors, gens, p):
 
 
 def poly_at(coeffs, a, p):
-    """sum_i coeffs[i] a^i mod p, by Horner in plain integer arithmetic."""
+    """sum_i coeffs[i] a^i mod p, by Horner in Python ints."""
     n = a.shape[0]
-    out = np.zeros((n, n), dtype=np.int64)
+    a = a.astype(object)
+    out = np.zeros((n, n), dtype=object)
     for c in reversed([int(c) for c in coeffs]):
-        out = (out @ a + c * np.eye(n, dtype=np.int64)) % p
+        out = (out @ a + c * np.eye(n, dtype=np.int64).astype(object)) % p
     return out
 
 
@@ -105,6 +106,28 @@ def test_rref_large_prime_matches_sympy():
     a[3] = (2 * a[0] + 5 * a[1]) % p
     assert_matches_sympy(p, a)
     assert_matches_sympy(p, sparse_matrix(np.random.default_rng(11), 80, 70, p, dependent=15))
+
+
+def test_products_exact_at_large_prime():
+    """At p = 2^31 - 1 a dot product of eight terms leaves int64: matmul and
+    EchelonBasis.reduce must still agree with products in Python ints."""
+    p = 2**31 - 1
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(0, p, size=(4, 8)), rng.integers(0, p, size=(8, 4))
+    assert np.array_equal(gfp.matmul(a, b, p), a.astype(object) @ b.astype(object) % p)
+    with pytest.raises(ValueError, match="no exact int64 product"):
+        gfp.matmul(a, b, 2**61 - 1)
+    basis = gfp.EchelonBasis(8, p)
+    rows = basis.extend(rng.integers(0, p, size=(5, 8)))
+    v = rng.integers(0, p, size=8)
+    coeff = v[basis._pivots[:5]].astype(object)
+    assert np.array_equal(basis.reduce(v), (v - coeff @ rows.astype(object)) % p)
+
+
+def test_minimal_polynomial_at_large_prime():
+    p = 2**31 - 1
+    a = np.random.default_rng(6).integers(0, p, size=(6, 6))
+    assert_minimal_polynomial(gfp.minimal_polynomial(a, p), a, p)
 
 
 @given(matrices())

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -286,6 +287,40 @@ def test_budget():
     assert got[2] == 8 and got[3] == 5 and got[5] == 3
     assert got[7] == 2 and got[13] == 2 and got[17] == 1 and got[251] == 1
     assert 257 not in got
+
+
+def scanned_budget(ratio, is_prime, primes=None, dim_override=None):
+    """The (p, dmax) pairs of cover_budget for max_order // n0 = ratio, by a
+    scan of every integer up to the ratio with a primality table."""
+    if ratio < 2:
+        return []
+    out = []
+    for p in primes if primes is not None else filter(is_prime.__getitem__, range(ratio + 1)):
+        if p > ratio:
+            continue
+        dmax = 0
+        while p ** (dmax + 1) <= ratio:
+            dmax += 1
+        out.append((p, dmax if dim_override is None else min(dmax, dim_override)))
+    return out
+
+
+def test_budget_sieve_matches_scan():
+    is_prime = [gfp.is_prime(k) for k in range(2001)]
+    for ratio in range(2001):
+        assert cover_budget(42, 42 * ratio + 41) == scanned_budget(ratio, is_prime)
+    primes = [13, 2, 1999, 7, 2003]
+    for ratio in (1, 12, 13, 1998, 1999, 2002, 2003):
+        for dim in (None, 1, 3):
+            assert (cover_budget(3, 3 * ratio, primes, dim)
+                    == scanned_budget(ratio, is_prime, primes, dim))
+
+
+def test_budget_at_large_order_is_fast():
+    t0 = time.perf_counter()
+    got = cover_budget(42, 10**8)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(got) == 174985 and got[0] == (2, 21) and got[-1][1] == 1
 
 
 @pytest.mark.parametrize("primes, dim", [([4], None), ([9], None), ([0], None),

@@ -159,6 +159,16 @@ def test_lifted_order_that_is_not_reached_raises(monkeypatch):
         digraph_aut(Digraph(*consistently_oriented(3)))
 
 
+def test_generated_rejects_an_order_its_generators_miss():
+    """The doubled 3-cycle's automorphism group, of order 48, less its first
+    generator generates a group of order 16: an error, not order 48."""
+    g = doubled_cycle(3)
+    aut = aut_group(g)
+    assert GraphAction.generated(g, aut.group.gens, 48).group.order() == 48
+    with pytest.raises(GraphError, match="order 16"):
+        GraphAction.generated(g, aut.group.gens[1:], 48)
+
+
 def test_digraph_invariant_one_dart_per_edge():
     g, arcs = consistently_oriented(3)
     dig = Digraph(g, arcs)

@@ -45,6 +45,18 @@ def test_witness_relations_hold(catalog):
         assert w.stabiliser_group().order() == 8
 
 
+def test_stabiliser_group_reports_its_true_order():
+    """In S4, a = (0 1) and g = (1 2 3) give three transpositions a, b, c
+    generating all of S4: the stabiliser reports 24, and the coset graph
+    refuses it."""
+    s4 = PermGroup(4, [from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])])
+    w = EpiWitness(s4, from_cycles(4, [(0, 1)]), from_cycles(4, [(1, 2, 3)]))
+    assert not w.check()
+    assert w.stabiliser_group().order() == 24
+    with pytest.raises(SearchError, match="order 8"):
+        coset_graph(s4, w.stabiliser_group(), w.g)
+
+
 def test_search_matches_brute_force_on_small_groups(catalog):
     # S4 x Z2-free sanity: groups of order 48 and 120 with/without witnesses
     s4 = PermGroup(4, [from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])])
